@@ -103,15 +103,17 @@ var batchDiffQueries = []string{
 }
 
 // batchDiffOptSets exercises the fast path under each engine variant that
-// interacts with it (struct joins feed batches, Parallel shares the pool).
+// interacts with it (twig joins feed batches, morsel workers share the
+// pool). workers > 0 runs the batch differential's executions with that
+// many morsel workers; the morsel differential sweeps workers itself.
 var batchDiffOptSets = []struct {
-	name string
-	opts xqgo.Options
+	name    string
+	opts    xqgo.Options
+	workers int
 }{
-	{"default", xqgo.Options{}},
-	{"structjoin", xqgo.Options{Strategy: xqgo.ForceBinaryJoin}},
-	{"twig", xqgo.Options{Strategy: xqgo.ForceTwig}},
-	{"parallel", xqgo.Options{Parallel: true}},
+	{"default", xqgo.Options{}, 0},
+	{"twig", xqgo.Options{Strategy: xqgo.ForceTwig}, 0},
+	{"parallel", xqgo.Options{}, 4},
 }
 
 func errCode(err error) string {
@@ -127,6 +129,13 @@ func errCode(err error) string {
 func TestBatchedVsItemDifferential(t *testing.T) {
 	for _, os := range batchDiffOptSets {
 		t.Run(os.name, func(t *testing.T) {
+			newCtx := func() *xqgo.Context {
+				ctx, _ := paperCtx(t)
+				if os.workers > 0 {
+					ctx.WithWorkers(os.workers).WithWorkerLimiter(grantAll{})
+				}
+				return ctx
+			}
 			for _, q := range batchDiffQueries {
 				batchedOpts := os.opts
 				itemOpts := os.opts
@@ -142,8 +151,7 @@ func TestBatchedVsItemDifferential(t *testing.T) {
 				}
 
 				// Materializing evaluation.
-				ctxB, _ := paperCtx(t)
-				ctxI, _ := paperCtx(t)
+				ctxB, ctxI := newCtx(), newCtx()
 				outB, errB := qb.EvalString(ctxB)
 				outI, errI := qi.EvalString(ctxI)
 				if errCode(errB) != errCode(errI) {
@@ -155,8 +163,7 @@ func TestBatchedVsItemDifferential(t *testing.T) {
 				}
 
 				// Serializer sink (Execute drains batches directly).
-				ctxB, _ = paperCtx(t)
-				ctxI, _ = paperCtx(t)
+				ctxB, ctxI = newCtx(), newCtx()
 				var bufB, bufI bytes.Buffer
 				errB = qb.Execute(ctxB, &bufB)
 				errI = qi.Execute(ctxI, &bufI)
@@ -171,7 +178,7 @@ func TestBatchedVsItemDifferential(t *testing.T) {
 
 				// Item-granularity pulls against the batch-capable plan:
 				// mixing granularities must not skip or repeat items.
-				ctxB, _ = paperCtx(t)
+				ctxB = newCtx()
 				it, err := qb.Iterator(ctxB)
 				if err == nil {
 					n := 0

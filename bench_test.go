@@ -168,7 +168,7 @@ func BenchmarkE5StructuralJoin(b *testing.B) {
 			mustEvalB(b, engine, xqgo.NewContext().WithContextNode(wrapped))
 		}
 	})
-	indexed := xqgo.MustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
+	indexed := xqgo.MustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceTwig})
 	idxCtx := xqgo.NewContext().WithContextNode(wrapped)
 	mustEvalB(b, indexed, idxCtx) // warm the per-document index cache
 	b.Run("engine-indexed", func(b *testing.B) {
@@ -188,9 +188,10 @@ func BenchmarkE6TwigJoin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		streams := twig.Streams(idx)
 		b.Run("twigstack/"+pat, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				structjoin.TwigStack(twig, idx)
+				structjoin.TwigStack(twig, streams)
 			}
 		})
 		b.Run("binary-plan/"+pat, func(b *testing.B) {

@@ -75,7 +75,7 @@ func main() {
 	}
 	compileTime := time.Since(t0)
 	if *plan {
-		fmt.Println(q.Plan())
+		fmt.Println(q.PlanInfo().Text)
 		return
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"xqgo"
+	"xqgo/internal/structjoin"
 	"xqgo/internal/workload"
 )
 
@@ -49,11 +51,11 @@ type benchReport struct {
 	// on/off ratio staying within 3%.
 	Governance []govRow `json:"governance"`
 	// TwigVsBinary holds the join-strategy comparison: each shape evaluated
-	// with navigation, the binary stack-tree plan, the holistic twig
-	// (path-stack) join, and cost-based Auto. CI gates on Auto staying
-	// within 5% of the best manual strategy on every shape, and on Auto
-	// picking the twig join on at least one shape where it measurably
-	// beats the binary plan.
+	// with navigation, the holistic twig (TwigStack) join and cost-based
+	// Auto, plus the raw binary stack-tree chain over the same index lists.
+	// CI gates on Auto staying within 5% of the better of navigation and
+	// twig on every shape, and on Auto picking the twig join on at least
+	// one shape where it measurably beats the binary chain.
 	TwigVsBinary []twigRow `json:"twigVsBinary"`
 	// NumCPU records the machine's logical CPU count: the worker-scaling
 	// speedup gate only applies where the hardware can actually express it.
@@ -109,10 +111,13 @@ type ingestRow struct {
 	BytesParsed  int64  `json:"bytesParsed"`  // input bytes pulled on demand
 }
 
-// twigRow is one join-strategy comparison measurement. The four ns/op
-// columns are min-of-reps on a warm per-strategy context (the index build
-// is priced by its own rows elsewhere); AutoVsBest is the median of per-rep
-// auto/best-manual ratios, so machine drift cancels out of the gate.
+// twigRow is one join-strategy comparison measurement. The ns/op columns
+// are min-of-reps: navigation, twig and Auto through the engine on a warm
+// per-strategy context (the index build is priced by its own rows
+// elsewhere), binary as the raw stack-tree chain (StackTreeDesc plus
+// DistinctDescendants per edge) over the same index lists — the engine has
+// no binary plan. AutoVsBest is the median of per-rep auto/best-engine-plan
+// ratios, so machine drift cancels out of the gate.
 type twigRow struct {
 	Name       string  `json:"name"`
 	Query      string  `json:"query"`
@@ -148,7 +153,7 @@ func (r *runner) runJSON(path string) error {
 	eager := mustCompile(paperQ, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
 	pathQ := mustCompile(`/Order/OrderLine/Item/ID`, nil)
 	descQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceNavigation})
-	joinQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
+	joinQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceTwig})
 
 	// Warm the structural-join index cache so the row measures the join.
 	joinCtx := ctxFor(deep)
@@ -601,7 +606,7 @@ func (r *runner) runJSON(path string) error {
 		name string
 		q    *xqgo.Query
 	}{
-		{"path/descendant-structjoin", mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})},
+		{"path/descendant-structjoin", mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceTwig})},
 		{"path/descendant-scan", mustCompile(`count(//a)`, nil)},
 		{"flwor/sum-tuples", mustCompile(`sum(for $i in 1 to 300000 return $i mod 7)`, nil)},
 	}
@@ -683,27 +688,26 @@ func (r *runner) runJSON(path string) error {
 	// large intermediate pair lists), a wide shallow twig (joins are cheap,
 	// navigation and both joins should be close), and a low-selectivity
 	// leaf (the binary plan pays for every (a,b) pair before the rare leaf
-	// cuts the output down; the path stack never materializes them).
+	// cuts the output down; the holistic join never materializes them).
 	twigShapes := []struct {
 		name  string
 		query string
+		chain string // the query's descendant chain, for the binary column
 		doc   *xqgo.Document
 	}{
-		{"twig/deep-chain", `count(//a//b//c)`,
+		{"twig/deep-chain", `count(//a//b//c)`, "a//b//c",
 			xqgo.FromStore(workload.Deep(workload.DeepConfig{
 				Nodes: 60000, MaxDepth: 40, Fanout: 2, Seed: 3}))},
-		{"twig/wide-shallow", `count(//a//b)`,
+		{"twig/wide-shallow", `count(//a//b)`, "a//b",
 			xqgo.FromStore(workload.Deep(workload.DeepConfig{
 				Nodes: 60000, MaxDepth: 6, Fanout: 24, Seed: 4}))},
-		{"twig/low-selectivity-leaf", `count(//a//b//z)`,
+		{"twig/low-selectivity-leaf", `count(//a//b//z)`, "a//b//z",
 			xqgo.FromStore(workload.Deep(workload.DeepConfig{
 				Nodes: 60000, Names: []string{"a", "a", "a", "b", "b", "b", "z"}, Seed: 5}))},
 	}
 	twigWinsSomewhere := false
 	for _, sh := range twigShapes {
-		strategies := []xqgo.Strategy{
-			xqgo.ForceNavigation, xqgo.ForceBinaryJoin, xqgo.ForceTwig, xqgo.StrategyAuto,
-		}
+		strategies := []xqgo.Strategy{xqgo.ForceNavigation, xqgo.ForceTwig, xqgo.StrategyAuto}
 		plans := make([]*xqgo.Query, len(strategies))
 		ctxs := make([]*xqgo.Context, len(strategies))
 		for i, st := range strategies {
@@ -714,37 +718,53 @@ func (r *runner) runJSON(path string) error {
 		// report the strategy the cost model actually picked; the choice is
 		// made on the first run (cold index, no feedback) and cached for
 		// the execution context, exactly like a server's first request.
-		prof := plans[3].NewCountersProfile()
-		ctxs[3].WithProfile(prof)
+		prof := plans[2].NewCountersProfile()
+		ctxs[2].WithProfile(prof)
 		for i := range plans {
 			mustEval(plans[i], ctxs[i]) // warm the per-context index cache
 		}
-		ctxs[3].WithProfile(nil)
+		ctxs[2].WithProfile(nil)
 		autoChoice := ""
 		for _, op := range prof.Report().Operators {
 			if op.Strategy != "" {
 				autoChoice = op.Strategy
 			}
 		}
+		chain, err := structjoin.ParseTwig(sh.chain)
+		if err != nil {
+			return err
+		}
+		lists := chain.Streams(structjoin.BuildIndex(sh.doc.Store()))
+		binary := func() {
+			cur := lists[0]
+			for _, l := range lists[1:] {
+				cur = structjoin.DistinctDescendants(structjoin.StackTreeDesc(cur, l, false))
+			}
+		}
+		// Cells, interleaved per rep: navigation, twig, Auto, raw binary.
 		mins := []int64{1 << 62, 1 << 62, 1 << 62, 1 << 62}
 		ratios := make([]float64, 0, r.reps)
 		for k := 0; k < r.reps; k++ {
 			var cell [4]int64
-			for i := range plans {
+			for i := range cell {
 				t0 := time.Now()
-				mustEval(plans[i], ctxs[i])
+				if i < len(plans) {
+					mustEval(plans[i], ctxs[i])
+				} else {
+					binary()
+				}
 				cell[i] = time.Since(t0).Nanoseconds()
 				if cell[i] < mins[i] {
 					mins[i] = cell[i]
 				}
 			}
-			best := min64(cell[0], min64(cell[1], cell[2]))
-			ratios = append(ratios, float64(cell[3])/float64(max64(best, 1)))
+			best := min64(cell[0], cell[1])
+			ratios = append(ratios, float64(cell[2])/float64(max64(best, 1)))
 		}
 		sort.Float64s(ratios)
 		row := twigRow{
 			Name: sh.name, Query: sh.query,
-			NavNs: mins[0], BinaryNs: mins[1], TwigNs: mins[2], AutoNs: mins[3],
+			NavNs: mins[0], TwigNs: mins[1], AutoNs: mins[2], BinaryNs: mins[3],
 			AutoChoice: autoChoice, AutoVsBest: ratios[len(ratios)/2],
 		}
 		rep.TwigVsBinary = append(rep.TwigVsBinary, row)
@@ -770,34 +790,42 @@ func (r *runner) runJSON(path string) error {
 		return err
 	}
 
+	// Every gate is evaluated; each failure is reported on stderr and all
+	// of them are returned together.
+	var failed []error
+	fail := func(format string, args ...any) {
+		err := fmt.Errorf(format, args...)
+		fmt.Fprintln(os.Stderr, "xqbench: gate failed:", err)
+		failed = append(failed, err)
+	}
 	// Regression gate: batching must never make a compared query more than
 	// 15% slower than the item-at-a-time baseline (medians of interleaved
 	// per-rep ratios keep CI noise below that).
 	if worst < 0.85 {
-		return fmt.Errorf("batching regression: worst batched/item speedup %.2fx < 0.85x", worst)
+		fail("batching regression: worst batched/item speedup %.2fx < 0.85x", worst)
 	}
 	// Ingestion gates: projection must actually reduce materialization, and
 	// lazy full parsing (projection off, everything materialized on demand)
 	// must stay within 2x of the eager parser on the same input — the
 	// no-regression guard for plain full-parse throughput.
 	if pn, fn := ingestNodes["ingest/stream-projected"], ingestNodes["ingest/stream-full"]; pn >= fn {
-		return fmt.Errorf("projection regression: projected ingestion built %d nodes, full built %d", pn, fn)
+		fail("projection regression: projected ingestion built %d nodes, full built %d", pn, fn)
 	}
 	if sn, en := ingestNs["ingest/stream-full"], ingestNs["ingest/eager-full"]; float64(sn) > 2.0*float64(en) {
-		return fmt.Errorf("full-parse throughput regression: lazy full ingestion %d ns/op > 2x eager %d ns/op", sn, en)
+		fail("full-parse throughput regression: lazy full ingestion %d ns/op > 2x eager %d ns/op", sn, en)
 	}
 	// Streaming-evaluator gates: the paper query must stay streamable, its
 	// first result must land within 20% of the eager total runtime (the
 	// whole point of evaluating off the live token stream), and window
 	// buffering must stay a small fraction of the feed.
 	if cl, reason := stream.Streamability(); !cl.Streamable() {
-		return fmt.Errorf("paper query no longer streamable: %s", reason)
+		fail("paper query no longer streamable: %s", reason)
 	}
 	if ttfb, et := seTTFB["stream-eval/paper-query"], seNs["stream-eval/eager-baseline"]; float64(ttfb) > 0.20*float64(et) {
-		return fmt.Errorf("streaming TTFB regression: first byte after %d ns > 20%% of eager total %d ns", ttfb, et)
+		fail("streaming TTFB regression: first byte after %d ns > 20%% of eager total %d ns", ttfb, et)
 	}
 	if peak := sePeak["stream-eval/paper-query"]; peak <= 0 || peak > int64(len(ordersXML)/100) {
-		return fmt.Errorf("stream-eval peak buffer %d B out of bounds for a %d B feed", peak, len(ordersXML))
+		fail("stream-eval peak buffer %d B out of bounds for a %d B feed", peak, len(ordersXML))
 	}
 	// Tracing gates. Per-request tracing synthesizes spans from the profile
 	// after the run, so with tracing on the whole execution may cost at most
@@ -809,7 +837,7 @@ func (r *runner) runJSON(path string) error {
 	// out; a real regression (say, a span per window) is systematic and
 	// shifts every rep's ratio.
 	if medTraced > 1.05 {
-		return fmt.Errorf("tracing-on overhead regression: traced median %.3fx over untraced (min %d vs %d ns/op)",
+		fail("tracing-on overhead regression: traced median %.3fx over untraced (min %d vs %d ns/op)",
 			medTraced, traceNs["trace/traced-profiled"], traceNs["trace/untraced-profiled"])
 	}
 	// 1.03 is the scale-invariant equivalent of the original 1% + 2ms
@@ -817,7 +845,7 @@ func (r *runner) runJSON(path string) error {
 	// measurably costs ~1.5% (see any BENCH artifact), and what the gate
 	// bounds is the off path underneath it, which does strictly less.
 	if medSkeleton > 1.03 {
-		return fmt.Errorf("tracing off-path overhead regression: skeleton spans median %.3fx over untraced (min %d vs %d ns/op)",
+		fail("tracing off-path overhead regression: skeleton spans median %.3fx over untraced (min %d vs %d ns/op)",
 			medSkeleton, traceNs["trace/skeleton"], traceNs["trace/off"])
 	}
 	// Worker-scaling gates. A single worker means every morsel check
@@ -833,7 +861,7 @@ func (r *runner) runJSON(path string) error {
 		rs := append([]float64(nil), overheadRatios[i]...)
 		sort.Float64s(rs)
 		if med := rs[len(rs)/2]; med > 1.05 {
-			return fmt.Errorf("worker overhead regression: %s at 1 worker median %.3fx over baseline (min %d vs %d ns/op)",
+			fail("worker overhead regression: %s at 1 worker median %.3fx over baseline (min %d vs %d ns/op)",
 				c.name, med, oneWorkerNs[i], scaleNs[i][0])
 		}
 	}
@@ -841,26 +869,27 @@ func (r *runner) runJSON(path string) error {
 	// path may cost at most 3% over the ungoverned run (medians of
 	// interleaved per-rep ratios, so CI load drift cancels out).
 	if worstGov > 1.03 {
-		return fmt.Errorf("governance overhead regression: worst governed/ungoverned median %.3fx > 1.03x", worstGov)
+		fail("governance overhead regression: worst governed/ungoverned median %.3fx > 1.03x", worstGov)
 	}
 	if rep.NumCPU >= 8 && joinSpeedup8 < 3.0 {
-		return fmt.Errorf("worker scaling regression: path/descendant-structjoin at 8 workers %.2fx < 3x over 1 worker",
+		fail("worker scaling regression: path/descendant-structjoin at 8 workers %.2fx < 3x over 1 worker",
 			joinSpeedup8)
 	}
 	// Join-strategy gates. Cost-based Auto may never sit more than 5% over
-	// the best manual strategy on any shape (median of per-rep ratios), and
-	// the cost model must pick the twig join somewhere it actually pays —
-	// otherwise the holistic operator is dead weight.
+	// the best manual strategy (navigation or twig) on any shape (median of
+	// per-rep ratios), and the cost model must pick the twig join somewhere
+	// it beats the raw binary chain — otherwise the holistic operator is
+	// dead weight.
 	for _, row := range rep.TwigVsBinary {
 		if row.AutoVsBest > 1.05 {
-			return fmt.Errorf("plan-choice regression: %s auto median %.3fx over best manual strategy (auto %d, nav %d, binary %d, twig %d ns/op)",
-				row.Name, row.AutoVsBest, row.AutoNs, row.NavNs, row.BinaryNs, row.TwigNs)
+			fail("plan-choice regression: %s auto median %.3fx over best manual strategy (auto %d, nav %d, twig %d ns/op)",
+				row.Name, row.AutoVsBest, row.AutoNs, row.NavNs, row.TwigNs)
 		}
 	}
 	if !twigWinsSomewhere {
-		return fmt.Errorf("plan-choice regression: no shape had Auto pick the twig join where it beats the binary plan")
+		fail("plan-choice regression: no shape had Auto pick the twig join where it beats the binary plan")
 	}
-	return nil
+	return errors.Join(failed...)
 }
 
 // firstByteWriter discards output, recording the elapsed time from creation

@@ -269,7 +269,7 @@ func (r *runner) e5() {
 		tMerge := r.timeIt(func() { structjoin.TreeMergeDesc(a, b, false) })
 		tNav := r.timeIt(func() { structjoin.NavigationDesc(doc, localName("a"), localName("b"), false) })
 		engineQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceNavigation})
-		indexedQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
+		indexedQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceTwig})
 		wrapped := xqgo.FromStore(doc)
 		tEngine := r.timeIt(func() { mustEval(engineQ, ctxFor(wrapped)) })
 		// Warm the per-document index cache so the row measures the join,
@@ -297,8 +297,9 @@ func (r *runner) e6() {
 		if err != nil {
 			panic(err)
 		}
+		streams := twig.Streams(idx)
 		var st structjoin.TwigStats
-		tTwig := r.timeIt(func() { st = structjoin.TwigStack(twig, idx) })
+		tTwig := r.timeIt(func() { st, _ = structjoin.TwigStack(twig, streams) })
 		var binPairs int64
 		tBin := r.timeIt(func() { binPairs = structjoin.BinaryPlanStats(twig, idx) })
 		rows = append(rows, []string{
@@ -492,16 +493,16 @@ func (r *runner) e13() {
 	  (count($d//a//b), count($d//b//c), count($d//c//d), count($d//a//d),
 	   count($d//b//d), count($d//c//a), count($d//d//b), count($d//d//a))`
 	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 80000, Seed: 2}))
-	seq := mustCompile(query, nil)
-	par := mustCompile(query, &xqgo.Options{Parallel: true})
-	ctx := func() *xqgo.Context { return xqgo.NewContext().Bind("d", doc) }
-	a := mustEval(seq, ctx())
-	b := mustEval(par, ctx())
+	q := mustCompile(query, nil)
+	seq := func() *xqgo.Context { return xqgo.NewContext().Bind("d", doc) }
+	par := func() *xqgo.Context { return seq().WithWorkers(runtime.GOMAXPROCS(0)) }
+	a := mustEval(q, seq())
+	b := mustEval(q, par())
 	if len(a) != len(b) {
 		panic("parallel result mismatch")
 	}
-	ts := r.timeIt(func() { mustEval(seq, ctx()) })
-	tp := r.timeIt(func() { mustEval(par, ctx()) })
+	ts := r.timeIt(func() { mustEval(q, seq()) })
+	tp := r.timeIt(func() { mustEval(q, par()) })
 	r.table("branches	sequential	parallel	speedup	GOMAXPROCS", [][]string{{
 		"8", ts.String(), tp.String(),
 		fmt.Sprintf("%.1fx", float64(ts)/float64(max64(int64(tp), 1))),

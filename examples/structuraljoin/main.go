@@ -55,7 +55,7 @@ func main() {
 	fmt.Println()
 	query := `count(//a//b)`
 	nav := xqgo.MustCompile(query, &xqgo.Options{Strategy: xqgo.ForceNavigation})
-	indexed := xqgo.MustCompile(query, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
+	indexed := xqgo.MustCompile(query, &xqgo.Options{Strategy: xqgo.ForceTwig})
 
 	ctx := xqgo.NewContext().WithContextNode(doc)
 	t0 = time.Now()

@@ -77,7 +77,8 @@ func (x *Index) CountTwig(pattern string) (TwigStats, error) {
 	if err != nil {
 		return TwigStats{}, err
 	}
-	return structjoin.TwigStack(tw, x.idx), nil
+	st, _ := structjoin.TwigStack(tw, tw.Streams(x.idx))
+	return st, nil
 }
 
 // CountTwigNavigation counts full twig embeddings by tree navigation (the

@@ -7,8 +7,8 @@ import (
 	"xqgo/internal/workload"
 )
 
-// TestIndexedPathEquivalence: join-shaped paths evaluated with structural
-// joins must return exactly the navigation engine's results.
+// TestIndexedPathEquivalence: join-shaped paths evaluated with the twig
+// join must return exactly the navigation engine's results.
 func TestIndexedPathEquivalence(t *testing.T) {
 	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 3000, Seed: 9}))
 	queries := []string{
@@ -26,7 +26,7 @@ func TestIndexedPathEquivalence(t *testing.T) {
 	}
 	for _, q := range queries {
 		nav := xqgo.MustCompile(q, &xqgo.Options{Strategy: xqgo.ForceNavigation})
-		idx := xqgo.MustCompile(q, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
+		idx := xqgo.MustCompile(q, &xqgo.Options{Strategy: xqgo.ForceTwig})
 		want, err := nav.EvalString(xqgo.NewContext().WithContextNode(doc))
 		if err != nil {
 			t.Fatalf("%s (nav): %v", q, err)
@@ -38,42 +38,5 @@ func TestIndexedPathEquivalence(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: indexed %.120q != nav %.120q", q, got, want)
 		}
-	}
-}
-
-// TestDeprecatedJoinKnob: the retired UseStructuralJoins bool must keep
-// working as an alias for ForceBinaryJoin until it is removed.
-func TestDeprecatedJoinKnob(t *testing.T) {
-	cases := []struct {
-		name string
-		opts xqgo.Options
-		want xqgo.Strategy
-	}{
-		{"zero value is auto", xqgo.Options{}, xqgo.StrategyAuto},
-		{"legacy bool maps to binary join", xqgo.Options{UseStructuralJoins: true}, xqgo.ForceBinaryJoin},
-		{"explicit strategy wins over legacy bool",
-			xqgo.Options{UseStructuralJoins: true, Strategy: xqgo.ForceNavigation}, xqgo.ForceNavigation},
-	}
-	for _, c := range cases {
-		if got := c.opts.EffectiveStrategy(); got != c.want {
-			t.Errorf("%s: EffectiveStrategy() = %v, want %v", c.name, got, c.want)
-		}
-	}
-
-	// End to end: the legacy knob still forces the join engine.
-	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 3000, Seed: 9}))
-	legacy := xqgo.MustCompile(`count(//a//b)`, &xqgo.Options{UseStructuralJoins: true})
-	nav := xqgo.MustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceNavigation})
-	ctx := func() *xqgo.Context { return xqgo.NewContext().WithContextNode(doc) }
-	want, err := nav.EvalString(ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := legacy.EvalString(ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("legacy knob result %q != navigation %q", got, want)
 	}
 }

@@ -26,9 +26,6 @@ type Options struct {
 	// MemoizeFunctions caches calls to pure user functions per execution
 	// (the paper's intra-query memoization).
 	MemoizeFunctions bool
-	// Parallel evaluates independent heavy branches of comma sequences
-	// concurrently (the paper's horizontal parallelization).
-	Parallel bool
 	// NoProfileHooks compiles the plan without profiling tag wrappers.
 	// Plans compiled this way cannot be profiled (NewProfile reports no
 	// operators) but carry zero instrumentation code.
@@ -255,10 +252,14 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 			}
 			fns[i] = fn
 		}
-		if par, ok := c.compileParallelSeq(n, fns); ok {
-			return par, nil
+		force, ok := c.seqBranchForce(n)
+		if !ok {
+			return func(fr *Frame) Iter { return newConcatIter(fr, fns) }, nil
 		}
-		return func(fr *Frame) Iter { return newConcatIter(fr, fns) }, nil
+		dr := c.drainFor()
+		return func(fr *Frame) Iter {
+			return &branchIter{Iter: newConcatIter(fr, fns), fr: fr, fns: fns, force: force, dr: dr}
+		}, nil
 
 	case *expr.Range:
 		lo, err := c.compile(n.Lo)

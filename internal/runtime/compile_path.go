@@ -43,13 +43,10 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 		if !isStore {
 			return navFn(fr) // non-store contexts always navigate
 		}
-		strat := fr.dyn.pathDecision(jp, sn.D, resolvePathStrategy(fr.dyn, policy), opID, fb)
-		switch strat {
-		case optimizer.StrategyBinaryJoin, optimizer.StrategyTwigJoin:
-			return jp.run(fr, sn, strat, opID, fb)
-		default:
-			return navFn(fr)
+		if fr.dyn.pathDecision(jp, sn.D, resolvePathStrategy(fr.dyn, policy), opID, fb) == optimizer.StrategyTwigJoin {
+			return jp.run(fr, sn, opID, fb)
 		}
+		return navFn(fr)
 	}
 	tagged, id := c.tagID("path", n, fn)
 	opID = id

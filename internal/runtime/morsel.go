@@ -152,7 +152,7 @@ const (
 	descMorselIDs = 8192
 	// descRoundChunks bounds a scan round to this many chunks per worker.
 	descRoundChunks = 4
-	// joinMorselPostings is the descendant-postings span of one join morsel.
+	// joinMorselPostings is the leaf-postings span of one twig-join morsel.
 	joinMorselPostings = 8192
 	// feedMorselPostings is the postings span of one feed morsel.
 	feedMorselPostings = 4096

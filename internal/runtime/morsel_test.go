@@ -437,7 +437,7 @@ func TestParallelSeqFailFastCancelsSlowBranch(t *testing.T) {
 	q := `(sum(for $i in 1 to 50000000000 return 0 + 0 + 0 + 0 + 0),
 	      (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1 idiv 0))`
 	start := time.Now()
-	_, err := evalQuery(t, q, Options{Parallel: true})
+	_, err := evalWorkers(t, q, 8, Options{})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("failing branch's error did not propagate")
@@ -483,7 +483,7 @@ func TestMorselWorkersAgreeWithSequential(t *testing.T) {
 			}
 		}
 		// Structural joins with workers.
-		par, perr := evalWorkers(t, q, 8, Options{Strategy: optimizer.StrategyBinaryJoin})
+		par, perr := evalWorkers(t, q, 8, Options{Strategy: optimizer.StrategyTwigJoin})
 		if perr != nil && serr == nil {
 			t.Errorf("%s: structjoin workers error: %v", q, perr)
 		} else if serr == nil && seq != par {

@@ -1,48 +1,45 @@
 package runtime
 
 import (
-	"sync"
-
 	"xqgo/internal/expr"
 	"xqgo/internal/xdm"
 )
 
-// Parallel execution — the paper's "Parallel execution" slide: independent
-// sub-expressions of a sequence are evaluated concurrently ("only if there
-// is no data dependency; only if the compiler guarantees that the given
-// subexpressions are executed"). A comma sequence always evaluates every
-// operand, satisfying the guarantee; independence is established by forcing
-// the branches' shared variable bindings before spawning, after which each
-// goroutine touches only immutable state (the store is read-only, documents
-// and caches are mutex-guarded).
+// Parallel comma branches — the paper's "Parallel execution" slide:
+// independent sub-expressions of a sequence are evaluated concurrently
+// ("only if there is no data dependency; only if the compiler guarantees
+// that the given subexpressions are executed"). A drained comma sequence
+// evaluates every operand, satisfying the guarantee; independence is
+// established by forcing the branches' shared variable bindings first,
+// after which each branch touches only immutable state (the store is
+// read-only, documents and caches are mutex-guarded).
 //
-// Note the error-timing caveat the paper discusses for LET unfolding:
-// forcing shared bindings may evaluate a variable an entirely lazy engine
-// would have skipped. XQuery's non-deterministic error semantics permit
-// this; Parallel is opt-in.
-//
-// Each branch runs on a forked Dynamic (private interrupt counter, buffer
-// pool, profile shard — see morsel.go) whose interrupt hook also watches
-// the group's first error, so one failed or panicked branch cancels its
-// siblings within an interrupt stride instead of holding the request until
-// every branch finishes on its own.
+// The branches run as one morsel round (morsel.go), one branch per chunk,
+// under the same activation rules as the other morsel loops: workers
+// configured (Context.WithWorkers), a NextBatch pull before any item was
+// read, and no still-parsing streamed input. A failed branch cancels its
+// siblings through the round's group hook. The error-timing caveat of LET
+// unfolding applies: forcing shared bindings may evaluate a variable an
+// entirely lazy engine would have skipped, and a branch error surfaces at
+// the first batch pull. XQuery's non-deterministic error semantics permit
+// both.
 
 // parallelMinWeight is the minimum expression-tree size of a branch worth a
-// goroutine.
+// worker.
 const parallelMinWeight = 12
 
-// compileParallelSeq builds a concurrent evaluator for a comma sequence, or
-// returns ok=false when the shape doesn't profit (few/light branches,
-// context-dependent branches).
-func (c *compiler) compileParallelSeq(n *expr.Seq, fns []seqFn) (seqFn, bool) {
-	if !c.opts.Parallel || len(n.Items) < 2 {
+// seqBranchForce reports whether a comma sequence may evaluate its branches
+// as a morsel round, and returns the variable ids the branches read, which
+// are forced before the round. Branches must be context-free and call no
+// user functions (a function body may lazily force a shared global), and
+// at least two must be heavy enough to pay for a worker.
+func (c *compiler) seqBranchForce(n *expr.Seq) ([]int, bool) {
+	if c.opts.NoBatch || len(n.Items) < 2 {
 		return nil, false
 	}
 	heavy := 0
 	for _, item := range n.Items {
-		if expr.UsesContext(item) {
-			// Focus plumbing (fn:last materialization) is not safe to share
-			// across goroutines; keep such sequences sequential.
+		if expr.UsesContext(item) || c.hasUserCall(item) {
 			return nil, false
 		}
 		if expr.Count(item) >= parallelMinWeight {
@@ -52,8 +49,6 @@ func (c *compiler) compileParallelSeq(n *expr.Seq, fns []seqFn) (seqFn, bool) {
 	if heavy < 2 {
 		return nil, false
 	}
-
-	// The variable ids each branch reads; forced before spawning.
 	var shared []int
 	seen := map[int]bool{}
 	for _, item := range n.Items {
@@ -64,44 +59,66 @@ func (c *compiler) compileParallelSeq(n *expr.Seq, fns []seqFn) (seqFn, bool) {
 			}
 		}
 	}
+	return shared, true
+}
 
-	dr := c.drainFor()
-	return func(fr *Frame) Iter {
-		// Force shared bindings so goroutines only read materialized data.
-		for _, id := range shared {
-			if _, err := fr.lookup(id).All(); err != nil {
-				return errIter(err)
-			}
+// branchIter is a comma sequence that evaluates its branches as one
+// morsel round on its first pull, when that pull is a batch pull; until
+// then, and whenever no round runs, it is the sequential concatIter.
+type branchIter struct {
+	Iter    // the concatIter, or a sliceIter over the round's output
+	fr      *Frame
+	fns     []seqFn
+	force   []int
+	dr      func(fr *Frame, it Iter) (xdm.Sequence, error)
+	started bool
+}
+
+func (b *branchIter) Next() (xdm.Item, bool, error) {
+	b.started = true
+	return b.Iter.Next()
+}
+
+// NextBatch implements BatchIter.
+func (b *branchIter) NextBatch(buf []xdm.Item) (int, error) {
+	if !b.started {
+		b.started = true
+		if out, err := b.round(); err != nil {
+			b.Iter = errIter(err)
+		} else if out != nil {
+			b.Iter = newSliceIter(out)
 		}
-		results := make([]xdm.Sequence, len(fns))
-		errs := make([]error, len(fns))
-		var g groupErr
-		var wg sync.WaitGroup
-		for i, fn := range fns {
-			wg.Add(1)
-			go func(i int, fn seqFn) {
-				defer wg.Done()
-				// LIFO: recoverXQ converts a panic to errs[i] first, then the
-				// error publishes to the group so siblings stop early.
-				defer func() { g.set(errs[i]) }()
-				defer recoverXQ(&errs[i])
-				w := fr.dyn.forkFor(&g)
-				wfr := fr.withDyn(w)
-				results[i], errs[i] = dr(wfr, fn(wfr))
-				fr.dyn.Prof.foldShard(w.Prof)
-			}(i, fn)
+	}
+	return nextBatch(b.Iter, buf)
+}
+
+// round evaluates every branch on the worker pool and stitches the outputs
+// in branch order. It returns nil without error when no round runs.
+func (b *branchIter) round() (xdm.Sequence, error) {
+	d := b.fr.dyn
+	if d.streamingLazy() {
+		return nil, nil
+	}
+	extra, release := d.leaseExtra(len(b.fns) - 1)
+	if extra == 0 {
+		return nil, nil
+	}
+	defer release()
+	for _, id := range b.force {
+		if _, err := b.fr.lookup(id).All(); err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		// Report the first published error: a branch aborted by sibling
-		// cancellation carries the group error anyway, so this is the error
-		// of the branch that actually failed.
-		if err := g.load(); err != nil {
-			return errIter(err)
-		}
-		var out xdm.Sequence
-		for _, r := range results {
-			out = append(out, r...)
-		}
-		return newSliceIter(out)
-	}, true
+	}
+	parts, err := morselRound(d, extra, len(b.fns), func(w *Dynamic, i int) (xdm.Sequence, error) {
+		wfr := b.fr.withDyn(w)
+		return b.dr(wfr, b.fns[i](wfr))
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := xdm.Sequence{}
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, nil
 }

@@ -433,7 +433,7 @@ func TestParallelSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := evalQuery(t, q, Options{Parallel: true})
+	par, err := evalWorkers(t, q, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,18 +442,18 @@ func TestParallelSeq(t *testing.T) {
 	}
 
 	// Errors propagate from any branch.
-	if _, err := evalQuery(t, `(count(//book), 1 idiv 0, count(//author))`,
-		Options{Parallel: true}); err == nil {
+	if _, err := evalWorkers(t, `(count(//book), 1 idiv 0, count(//author))`,
+		8, Options{}); err == nil {
 		t.Error("branch error must propagate")
 	}
 
-	// Shared variables are visible (forced before spawning).
+	// Shared variables are visible (forced before the round).
 	q2 := `let $all := //book return (count($all), count($all/author), count($all/title))`
 	a, err := evalQuery(t, q2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := evalQuery(t, q2, Options{Parallel: true})
+	b, err := evalWorkers(t, q2, 8, Options{})
 	if err != nil || a != b {
 		t.Errorf("shared-var parallel: %q vs %q (%v)", a, b, err)
 	}
@@ -461,7 +461,7 @@ func TestParallelSeq(t *testing.T) {
 	// Context-dependent sequences stay sequential but still work.
 	q3 := `string-join(for $b in /bib/book return (string($b/title), string($b/@year)), ",")`
 	a, _ = evalQuery(t, q3, Options{})
-	b, err = evalQuery(t, q3, Options{Parallel: true})
+	b, err = evalWorkers(t, q3, 8, Options{})
 	if err != nil || a != b {
 		t.Errorf("context parallel fallback: %q vs %q (%v)", a, b, err)
 	}
@@ -470,11 +470,11 @@ func TestParallelSeq(t *testing.T) {
 func TestParallelConstructionIdentity(t *testing.T) {
 	// Parallel branches constructing nodes must still produce distinct
 	// identities and correct output.
-	got, err := evalQuery(t, `
+	got, err := evalWorkers(t, `
 	  count(distinct-nodes((
 	    <a>{string-join(for $i in (1 to 200) return string($i), "")}</a>,
 	    <a>{string-join(for $i in (1 to 200) return string($i), "")}</a>)))`,
-		Options{Parallel: true})
+		8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

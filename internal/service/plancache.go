@@ -59,9 +59,9 @@ func Fingerprint(src string, opts *xqgo.Options) string {
 	}
 	rules := append([]string(nil), o.DisableRules...)
 	sort.Strings(rules)
-	return fmt.Sprintf("e%d|no%t|r%s|st%d|mm%t|pp%t\x00%s",
+	return fmt.Sprintf("e%d|no%t|r%s|st%d|mm%t\x00%s",
 		o.Engine, o.NoOptimize, strings.Join(rules, ","),
-		o.EffectiveStrategy(), o.MemoizeFunctions, o.Parallel, src)
+		o.Strategy, o.MemoizeFunctions, src)
 }
 
 // Get returns the compiled plan for (src, opts), compiling on a miss.

@@ -291,7 +291,7 @@ type ExplainProfile struct {
 	// Plan is the optimized expression tree rendering.
 	Plan string `json:"plan,omitempty"`
 	// Strategy is the join strategy the path operators resolved to during
-	// this execution ("navigation", "binary-join", "twig-join"; "mixed"
+	// this execution ("navigation", "twig-join"; "mixed"
 	// when different branches chose differently; empty when no
 	// join-eligible path ran).
 	Strategy string `json:"strategy,omitempty"`
@@ -309,7 +309,7 @@ func explainProfile(q *xqgo.Query, rep xqgo.ProfileReport) *ExplainProfile {
 		Counters:  rep.Counters,
 		Rewrites:  q.RewriteTrace(),
 		RuleFires: q.RuleFires(),
-		Plan:      q.Plan(),
+		Plan:      q.PlanInfo().Text,
 	}
 	for _, op := range rep.Operators {
 		if op.Strategy == "" {
@@ -569,10 +569,10 @@ func classify(err error) outcome {
 // call (ExecuteContext), not here.
 func (s *Service) buildContext(req Request) (*xqgo.Context, error) {
 	qctx := xqgo.NewContext()
-	// Index seeding follows the effective join strategy: anything but
+	// Index seeding follows the join strategy: anything but
 	// ForceNavigation can use the shared catalog indexes (under Auto the
 	// cost model prices a seeded index as free).
-	seedIndexes := s.cfg.Options.EffectiveStrategy() != xqgo.ForceNavigation
+	seedIndexes := s.cfg.Options.Strategy != xqgo.ForceNavigation
 	entries := s.Catalog.snapshot()
 	for _, e := range entries {
 		qctx.RegisterDocument(e.Name, e.Doc)

@@ -445,7 +445,7 @@ func TestServiceResultSizeLimit(t *testing.T) {
 }
 
 func TestServiceStructuralJoinSharing(t *testing.T) {
-	s := New(Config{Options: xqgo.Options{Strategy: xqgo.ForceBinaryJoin}})
+	s := New(Config{Options: xqgo.Options{Strategy: xqgo.ForceTwig}})
 	if _, err := s.RegisterDocument("bib", strings.NewReader(bibXML)); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestServiceStructuralJoinSharing(t *testing.T) {
 	}
 	e, _ := s.Catalog.Get("bib")
 	if _, ok := e.builtIndex(); !ok {
-		t.Error("shared index was never built despite ForceBinaryJoin")
+		t.Error("shared index was never built despite ForceTwig")
 	}
 }
 

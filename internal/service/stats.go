@@ -30,12 +30,10 @@ type engineTotals struct {
 	MemoMisses        int64 `json:"memoMisses"`
 	IndexHits         int64 `json:"indexHits"`
 	IndexBuilds       int64 `json:"indexBuilds"`
-	StructJoins       int64 `json:"structJoins"`
 	TwigJoins         int64 `json:"twigJoins"`
 	InterruptPolls    int64 `json:"interruptPolls"`
 	// Plan choices resolved by join-eligible path operators, by winner.
 	PlanNavigation int64 `json:"planNavigation"`
-	PlanBinaryJoin int64 `json:"planBinaryJoin"`
 	PlanTwigJoin   int64 `json:"planTwigJoin"`
 	// Streaming-ingestion totals (lazy parse with path projection).
 	DocNodesBuilt       int64 `json:"docNodesBuilt"`
@@ -236,11 +234,9 @@ func (s *statsCore) addEngine(c xqgo.EngineCounters) {
 	s.engine.MemoMisses += c.MemoMisses
 	s.engine.IndexHits += c.IndexHits
 	s.engine.IndexBuilds += c.IndexBuilds
-	s.engine.StructJoins += c.StructJoins
 	s.engine.TwigJoins += c.TwigJoins
 	s.engine.InterruptPolls += c.InterruptPolls
 	s.engine.PlanNavigation += c.PlanNavigation
-	s.engine.PlanBinaryJoin += c.PlanBinaryJoin
 	s.engine.PlanTwigJoin += c.PlanTwigJoin
 	s.engine.DocNodesBuilt += c.DocNodesBuilt
 	s.engine.NodesSkipped += c.NodesSkipped

@@ -10,15 +10,14 @@ import (
 // algorithms are validated against in tests, and the "navigation engine"
 // data point of experiment E6.
 func NavTwigCount(root *TwigNode, d *store.Document) int64 {
-	memo := map[*TwigNode]map[int32]int64{}
-	nodes := root.nodes()
-	for _, q := range nodes {
-		memo[q] = map[int32]int64{}
+	type key struct {
+		q  *TwigNode
+		id int32
 	}
-
+	memo := map[key]int64{}
 	var embeddings func(q *TwigNode, id int32) int64
 	embeddings = func(q *TwigNode, id int32) int64 {
-		if v, ok := memo[q][id]; ok {
+		if v, ok := memo[key{q, id}]; ok {
 			return v
 		}
 		total := int64(1)
@@ -43,7 +42,7 @@ func NavTwigCount(root *TwigNode, d *store.Document) int64 {
 				break
 			}
 		}
-		memo[q][id] = total
+		memo[key{q, id}] = total
 		return total
 	}
 
@@ -54,27 +53,4 @@ func NavTwigCount(root *TwigNode, d *store.Document) int64 {
 		}
 	}
 	return grand
-}
-
-// PathStack runs the holistic join for a linear path pattern. It is
-// TwigStack restricted to one root-to-leaf chain (the PathStack algorithm);
-// exposed separately so benchmarks can compare the two directly.
-func PathStack(root *TwigNode, idx *Index) TwigStats {
-	// For linear patterns TwigStack degenerates to PathStack: same stacks,
-	// same pushes — no branching getNext work.
-	return TwigStack(root, idx)
-}
-
-// IsLinear reports whether the pattern is a single chain.
-func (n *TwigNode) IsLinear() bool {
-	for q := n; ; {
-		switch len(q.Children) {
-		case 0:
-			return true
-		case 1:
-			q = q.Children[0]
-		default:
-			return false
-		}
-	}
 }

@@ -1,9 +1,9 @@
 // Package structjoin implements the structural-join machinery of the
 // XML-database era the paper surveys ("Structural Joins: A Primitive for
 // Efficient XML Query Pattern Matching", "Holistic twig joins"): an
-// element/attribute name index over region labels, the stack-tree binary
-// structural join, the naive tree-merge and navigation baselines, and the
-// PathStack/TwigStack holistic twig joins. All algorithms work on the
+// element/attribute name index over region labels, the TwigStack holistic
+// twig join, and the stack-tree binary join, naive tree-merge and
+// navigation baselines it is compared with. All algorithms work on the
 // store's (start, end, level) region labels (see internal/labeling), so
 // ancestor/descendant tests are integer comparisons.
 package structjoin

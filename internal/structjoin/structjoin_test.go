@@ -154,12 +154,6 @@ func TestParseTwig(t *testing.T) {
 			t.Errorf("ParseTwig(%q) should fail", bad)
 		}
 	}
-	if !mustTwig(t, "a//b//c").IsLinear() {
-		t.Error("a//b//c is linear")
-	}
-	if mustTwig(t, "a[b]//c").IsLinear() {
-		t.Error("a[b]//c is not linear")
-	}
 }
 
 func mustTwig(t testing.TB, s string) *TwigNode {
@@ -176,7 +170,7 @@ func TestTwigStackLinearMatchesNavigation(t *testing.T) {
 	idx := BuildIndex(doc)
 	for _, pat := range []string{"a//b", "root//a", "a//a", "a/b", "root//a//b"} {
 		tw := mustTwig(t, pat)
-		stats := TwigStack(tw, idx)
+		stats, _ := TwigStack(tw, tw.Streams(idx))
 		want := NavTwigCount(tw, doc)
 		if stats.PathSolutions != want {
 			t.Errorf("%s: TwigStack path solutions = %d, navigation count = %d",
@@ -188,9 +182,9 @@ func TestTwigStackLinearMatchesNavigation(t *testing.T) {
 func TestTwigStackOnGeneratedData(t *testing.T) {
 	doc := workload.Deep(workload.DeepConfig{Nodes: 3000, Seed: 7})
 	idx := BuildIndex(doc)
-	for _, pat := range []string{"a//b", "a//b//c", "b//a", "a/b", "root//d"} {
+	for _, pat := range []string{"a//b", "a//b//c", "b//a", "a/b", "root//d", "a//b/c", "a//a/a", "a/a/a"} {
 		tw := mustTwig(t, pat)
-		stats := TwigStack(tw, idx)
+		stats, _ := TwigStack(tw, tw.Streams(idx))
 		want := NavTwigCount(tw, doc)
 		if stats.PathSolutions != want {
 			t.Errorf("%s on deep data: holistic = %d, navigation = %d",
@@ -201,7 +195,7 @@ func TestTwigStackOnGeneratedData(t *testing.T) {
 	// plan's pairs (the E6 claim).
 	for _, pat := range []string{"a[b]//c", "a[b//c]//d"} {
 		tw := mustTwig(t, pat)
-		stats := TwigStack(tw, idx)
+		stats, _ := TwigStack(tw, tw.Streams(idx))
 		binary := BinaryPlanStats(tw, idx)
 		if stats.PathSolutions > binary {
 			t.Errorf("%s: holistic intermediates %d > binary pairs %d",
@@ -232,14 +226,5 @@ func TestStackTreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPathStackAlias(t *testing.T) {
-	doc := buildTree(t)
-	idx := BuildIndex(doc)
-	tw := mustTwig(t, "a//b")
-	if PathStack(tw, idx).PathSolutions != TwigStack(mustTwig(t, "a//b"), idx).PathSolutions {
-		t.Error("PathStack must agree with TwigStack on linear patterns")
 	}
 }

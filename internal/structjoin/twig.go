@@ -2,18 +2,20 @@ package structjoin
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"xqgo/internal/labeling"
 	"xqgo/internal/xdm"
 )
 
-// Twig patterns and the holistic twig-join algorithms (PathStack for linear
-// paths, TwigStack for branching twigs, Bruno/Koudas/Srivastava). The
-// holistic property: intermediate results are root-to-leaf path solutions
-// that are guaranteed to extend to a full match for ancestor/descendant
-// edges, instead of the possibly-huge pairwise outputs of a binary-join
-// plan — exactly the effect experiment E6 measures.
+// Twig patterns and the holistic twig join (TwigStack, Bruno/Koudas/
+// Srivastava), the one holistic join: a linear chain is a one-branch twig,
+// so the runtime's path chains, Index.CountTwig and experiment E6 all run
+// it. The holistic property: intermediate results are root-to-leaf path
+// solutions that are guaranteed to extend to a full match for
+// ancestor/descendant edges, instead of the possibly-huge pairwise outputs
+// of a binary-join plan — exactly the effect experiment E6 measures.
 
 // TwigNode is one node of a twig pattern.
 type TwigNode struct {
@@ -22,22 +24,6 @@ type TwigNode struct {
 	// ancestor/descendant.
 	ChildEdge bool
 	Children  []*TwigNode
-
-	// runtime state
-	stream List
-	pos    int
-	stack  []twigEntry
-	parent *TwigNode
-}
-
-type twigEntry struct {
-	post Posting
-	// ptr is the index of the top of the parent stack at push time (-1 if
-	// the parent stack was empty / node is root).
-	ptr int
-	// count is the number of root-to-this partial solutions this entry
-	// participates in.
-	count int64
 }
 
 // Path builds a linear twig a//b//c... (ancestor/descendant edges).
@@ -157,25 +143,21 @@ func (n *TwigNode) render(b *strings.Builder) {
 	}
 }
 
-// nodes collects the pattern nodes (pre-order) and sets parent links.
-func (n *TwigNode) nodes() []*TwigNode {
-	var out []*TwigNode
-	var walk func(t *TwigNode, parent *TwigNode)
-	walk = func(t *TwigNode, parent *TwigNode) {
-		t.parent = parent
-		out = append(out, t)
-		for _, c := range t.Children {
-			walk(c, t)
-		}
+// Streams returns the index posting list of every pattern node, in the
+// pre-order (root first) TwigStack expects.
+func (n *TwigNode) Streams(idx *Index) []List {
+	out := []List{idx.Elements(n.Name)}
+	for _, c := range n.Children {
+		out = append(out, c.Streams(idx)...)
 	}
-	walk(n, nil)
 	return out
 }
 
 // TwigStats reports the work and intermediate-result volume of a twig join.
 type TwigStats struct {
 	// PathSolutions is the number of root-to-leaf solutions produced (the
-	// holistic algorithms' total intermediate size).
+	// holistic algorithms' total intermediate size), saturating at
+	// math.MaxInt64.
 	PathSolutions int64
 	// Pushes and Advances count stack pushes and stream advances.
 	Pushes   int64
@@ -184,109 +166,182 @@ type TwigStats struct {
 
 const infStart = int64(1)<<62 - 1
 
-func (t *TwigNode) next() Posting {
-	if t.pos < len(t.stream) {
-		return t.stream[t.pos]
-	}
-	return Posting{Region: labeling.Region{Start: infStart, End: infStart}}
+// twigNode is one pattern node's state during one TwigStack call. Keeping
+// it off the shared TwigNode makes concurrent joins over one pattern safe.
+type twigNode struct {
+	stream List
+	pos    int
+	stack  []twigEntry // open matches: a chain of nested regions
+	parent int         // pre-order index; -1 for the root
+	kids   []int
+	child  bool // parent/child edge to the parent
 }
 
-func (t *TwigNode) eof() bool { return t.pos >= len(t.stream) }
+// twigEntry is one open match. count is the number of root-to-this partial
+// solutions it completes; cum sums count over it and every entry beneath
+// it. Both saturate.
+type twigEntry struct {
+	post       Posting
+	count, cum int64
+}
 
-// TwigStack runs the holistic twig join of pattern root against an index.
-// It returns the total number of root-to-leaf path solutions (merged-match
-// counting is done by MergeCount) and work statistics.
-func TwigStack(root *TwigNode, idx *Index) TwigStats {
-	nodes := root.nodes()
-	for _, q := range nodes {
-		q.stream = idx.Elements(q.Name)
-		q.pos = 0
-		q.stack = q.stack[:0]
+// head returns the region of the stream's next posting; an exhausted
+// stream reads as one that starts and ends after everything.
+func (q *twigNode) head() *labeling.Region {
+	if q.pos < len(q.stream) {
+		return &q.stream[q.pos].Region
 	}
-	var stats TwigStats
+	return &eofRegion
+}
 
-	var getNext func(q *TwigNode) *TwigNode
-	getNext = func(q *TwigNode) *TwigNode {
+var eofRegion = labeling.Region{Start: infStart, End: infStart}
+
+// TwigStack runs the holistic twig join (Bruno/Koudas/Srivastava) of the
+// pattern rooted at root. streams must hold one Start-sorted posting list
+// per pattern node, in pre-order (see Streams); lists are only read, so
+// concurrent calls may share the pattern and the lists. The root's
+// ChildEdge is ignored: callers that anchor the root pre-filter its list.
+//
+// It returns the work statistics — PathSolutions counts every root-to-leaf
+// path solution — and the distinct postings of the output leaf (the last
+// leaf in pre-order, the tail of the pattern's main path) that complete at
+// least one root-to-leaf path solution, in document order. For a linear
+// chain those are exactly the nodes the path expression selects.
+func TwigStack(root *TwigNode, streams []List) (TwigStats, List) {
+	if root == nil {
+		return TwigStats{}, nil
+	}
+	var t twigRun
+	outLeaf := 0
+	var walk func(q *TwigNode, parent int)
+	walk = func(q *TwigNode, parent int) {
+		i := len(t.n)
+		t.n = append(t.n, twigNode{stream: streams[i], parent: parent, child: q.ChildEdge})
+		if parent >= 0 {
+			t.n[parent].kids = append(t.n[parent].kids, i)
+		}
 		if len(q.Children) == 0 {
-			return q
+			outLeaf = i
 		}
-		var nmin, nmax *TwigNode
-		for _, qi := range q.Children {
-			ni := getNext(qi)
-			if ni != qi {
-				return ni
-			}
-			if nmin == nil || qi.next().Region.Start < nmin.next().Region.Start {
-				nmin = qi
-			}
-			if nmax == nil || qi.next().Region.Start > nmax.next().Region.Start {
-				nmax = qi
-			}
+		for _, c := range q.Children {
+			walk(c, i)
 		}
-		for q.next().Region.End < nmax.next().Region.Start {
-			q.pos++
-			stats.Advances++
-		}
-		if q.next().Region.Start < nmin.next().Region.Start {
-			return q
-		}
-		return nmin
 	}
-
-	anyLeafLive := func() bool {
-		for _, q := range nodes {
-			if len(q.Children) == 0 && !q.eof() {
-				return true
-			}
-		}
-		return false
-	}
-
-	for anyLeafLive() {
-		qact := getNext(root)
-		if qact.eof() {
+	walk(root, -1)
+	var out List
+	for {
+		// getNext returns an exhausted stream once no leaf can match.
+		qi := t.getNext(0)
+		q := &t.n[qi]
+		if q.pos >= len(q.stream) {
 			break
 		}
-		cur := qact.next()
-		// Clean ended entries from the parent stack and own stack.
-		if qact.parent != nil {
-			cleanStack(qact.parent, cur.Region.Start)
+		cur := q.stream[q.pos]
+		cnt := int64(1)
+		if q.parent >= 0 {
+			p := &t.n[q.parent]
+			p.clean(cur.Region.Start)
+			cnt = p.solutions(cur, q.child)
 		}
-		cleanStack(qact, cur.Region.Start)
-		if qact.parent == nil || len(qact.parent.stack) > 0 {
-			// push with count propagation
-			var cnt int64 = 1
-			ptr := -1
-			if qact.parent != nil {
-				ptr = len(qact.parent.stack) - 1
-				cnt = 0
-				for i := 0; i <= ptr; i++ {
-					e := &qact.parent.stack[i]
-					if qact.ChildEdge && e.post.Region.Level+1 != cur.Region.Level {
-						continue
-					}
-					cnt += e.count
+		q.clean(cur.Region.Start)
+		if cnt > 0 {
+			t.stats.Pushes++
+			if len(q.kids) > 0 {
+				cum := cnt
+				if len(q.stack) > 0 {
+					cum = satAdd(cum, q.stack[len(q.stack)-1].cum)
 				}
-			}
-			if cnt > 0 {
-				qact.stack = append(qact.stack, twigEntry{post: cur, ptr: ptr, count: cnt})
-				stats.Pushes++
-				if len(qact.Children) == 0 {
-					stats.PathSolutions += cnt
-					qact.stack = qact.stack[:len(qact.stack)-1] // leaves pop immediately
+				q.stack = append(q.stack, twigEntry{post: cur, count: cnt, cum: cum})
+			} else {
+				// Leaves only complete solutions; they are never stacked.
+				t.stats.PathSolutions = satAdd(t.stats.PathSolutions, cnt)
+				if qi == outLeaf {
+					// Each leaf posting is read once, in Start order, so
+					// the output is distinct and in document order.
+					out = append(out, cur)
 				}
 			}
 		}
-		qact.pos++
-		stats.Advances++
+		q.pos++
+		t.stats.Advances++
 	}
-	return stats
+	return t.stats, out
 }
 
-func cleanStack(q *TwigNode, nextStart int64) {
+// twigRun is the state of one TwigStack call, indexed by pre-order number.
+type twigRun struct {
+	n     []twigNode
+	stats TwigStats
+}
+
+// getNext returns the pattern node whose stream head is processed next:
+// a node whose head starts before every child subtree's next candidate,
+// after skipping heads that end before the farthest child candidate (they
+// can contain no future match). Ties go to the child, so the same posting
+// is read as a descendant before it is stacked as an ancestor of itself —
+// which keeps containment strict on self-chains such as a//a.
+func (t *twigRun) getNext(qi int) int {
+	q := &t.n[qi]
+	if len(q.kids) == 0 {
+		return qi
+	}
+	nmin, minStart, maxStart := -1, infStart, int64(-1)
+	for _, ci := range q.kids {
+		if ni := t.getNext(ci); ni != ci {
+			return ni
+		}
+		s := t.n[ci].head().Start
+		if nmin < 0 || s < minStart {
+			nmin, minStart = ci, s
+		}
+		maxStart = max(maxStart, s)
+	}
+	for q.head().End < maxStart {
+		q.pos++
+		t.stats.Advances++
+	}
+	if q.head().Start < minStart {
+		return qi
+	}
+	return nmin
+}
+
+// clean pops the entries that close before nextStart. An entry is pushed
+// only after the entries that closed before it are popped, so the survivor
+// on top contains it and the stack stays a chain of nested regions: after
+// clean(cur.Start) every remaining entry contains cur.
+func (q *twigNode) clean(nextStart int64) {
 	for len(q.stack) > 0 && q.stack[len(q.stack)-1].post.Region.End < nextStart {
 		q.stack = q.stack[:len(q.stack)-1]
 	}
+}
+
+// solutions returns the number of root-to-q partial solutions that cur, a
+// child of q in the pattern, extends; q's stack must be cleaned to cur. A
+// descendant edge extends all of them, a child edge only those ending at
+// the one entry a level above cur.
+func (q *twigNode) solutions(cur Posting, childEdge bool) int64 {
+	s := q.stack
+	if !childEdge {
+		if len(s) == 0 {
+			return 0
+		}
+		return s[len(s)-1].cum
+	}
+	for i := len(s) - 1; i >= 0 && s[i].post.Region.Level >= cur.Region.Level-1; i-- {
+		if s[i].post.Region.Level == cur.Region.Level-1 {
+			return s[i].count
+		}
+	}
+	return 0
+}
+
+// satAdd adds two non-negative counts, saturating at math.MaxInt64.
+func satAdd(a, b int64) int64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return math.MaxInt64
 }
 
 // BinaryPlanStats decomposes the twig into binary structural joins (one per

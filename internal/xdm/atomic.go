@@ -242,9 +242,12 @@ func (a Atomic) decimalLexical() string {
 	return out
 }
 
-// floatLexical renders double/float per the XQuery canonical-ish rules: NaN,
-// INF, -INF; integral values without exponent when in a readable range.
-func floatLexical(f float64, _ bool) string {
+// floatLexical renders xs:double, or xs:float from its 32-bit shortest
+// digits, per XPath F&O 3.1 §19.1.2.2: NaN, INF, -INF; zero as 0 or -0;
+// magnitudes in [1e-6, 1e6) as a decimal without exponent (0.000001,
+// 15.5); everything else as a mantissa with at least one fraction digit
+// and a bare exponent (1.0E6, -2.5E20, 1.0E-7).
+func floatLexical(f float64, isFloat bool) string {
 	switch {
 	case math.IsNaN(f):
 		return "NaN"
@@ -253,11 +256,19 @@ func floatLexical(f float64, _ bool) string {
 	case math.IsInf(f, -1):
 		return "-INF"
 	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', -1, 64)
+	bits := 64
+	if isFloat {
+		bits = 32
 	}
-	s := strconv.FormatFloat(f, 'G', -1, 64)
-	return strings.ReplaceAll(s, "E+0", "E") // tidy exponents like 1E+06
+	if a := math.Abs(f); a == 0 || (a >= 1e-6 && a < 1e6) {
+		return strconv.FormatFloat(f, 'f', -1, bits)
+	}
+	mant, exp, _ := strings.Cut(strconv.FormatFloat(f, 'E', -1, bits), "E")
+	if !strings.Contains(mant, ".") {
+		mant += ".0"
+	}
+	e, _ := strconv.Atoi(exp)
+	return mant + "E" + strconv.Itoa(e)
 }
 
 func ymDurationLexical(months int64) string {

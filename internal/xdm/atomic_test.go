@@ -28,6 +28,15 @@ func TestLexicalForms(t *testing.T) {
 		{NewDouble(math.Inf(1)), "INF"},
 		{NewDouble(math.Inf(-1)), "-INF"},
 		{NewDouble(math.NaN()), "NaN"},
+		{NewDouble(1.5e7), "1.5E7"},
+		{NewDouble(1e6), "1.0E6"},
+		{NewDouble(1e-7), "1.0E-7"},
+		{NewDouble(-2.5e20), "-2.5E20"},
+		{NewDouble(1e-6), "0.000001"},
+		{NewDouble(999999.5), "999999.5"},
+		{NewDouble(math.Copysign(0, -1)), "-0"},
+		{NewFloat(1.1), "1.1"},
+		{NewFloat(3e7), "3.0E7"},
 		{NewAnyURI("http://x"), "http://x"},
 		{NewQName(QName{Prefix: "p", Local: "n"}), "p:n"},
 		{NewYearMonthDuration(14), "P1Y2M"},

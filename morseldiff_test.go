@@ -111,7 +111,7 @@ func TestMorselDifferentialDeepDoc(t *testing.T) {
 // stay isolated while the shared caches (indexes, memo) stay consistent.
 func TestMorselConcurrentExecutions(t *testing.T) {
 	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 30000, Seed: 7}))
-	opts := xqgo.Options{Strategy: xqgo.ForceBinaryJoin}
+	opts := xqgo.Options{Strategy: xqgo.ForceTwig}
 	compiled, err := xqgo.Compile(`count(//a//b)`, &opts)
 	if err != nil {
 		t.Fatal(err)

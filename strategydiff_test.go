@@ -1,13 +1,12 @@
 package xqgo_test
 
-// Differential test for the join-strategy redesign: every query of the
-// paper suite plus join-shaped chains over a 60k-node deep document is
-// evaluated under all three forced strategies (navigation, binary
-// stack-tree join, holistic twig join) and under cost-based Auto,
-// asserting identical results and identical error identity. The deep-doc
-// queries also run with 8 morsel workers; CI runs this under -race at
-// GOMAXPROCS=8, so the per-chunk path-stack runs and the shared plan-choice
-// cache get real scheduler pressure.
+// Differential test for the join strategies: every query of the paper
+// suite plus join-shaped chains over a 60k-node deep document is evaluated
+// under both forced strategies (navigation, holistic twig join) and under
+// cost-based Auto, asserting identical results and identical error
+// identity. The deep-doc queries also run with 8 morsel workers; CI runs
+// this under -race at GOMAXPROCS=8, so the per-chunk twig runs and the
+// shared plan-choice cache get real scheduler pressure.
 
 import (
 	"testing"
@@ -21,7 +20,6 @@ var strategyOptSets = []struct {
 	opts xqgo.Options
 }{
 	{"navigation", xqgo.Options{Strategy: xqgo.ForceNavigation}},
-	{"binary-join", xqgo.Options{Strategy: xqgo.ForceBinaryJoin}},
 	{"twig-join", xqgo.Options{Strategy: xqgo.ForceTwig}},
 	{"auto", xqgo.Options{Strategy: xqgo.StrategyAuto}},
 }
@@ -56,7 +54,7 @@ func TestStrategyDifferential(t *testing.T) {
 }
 
 // TestStrategyDifferentialDeep: join-shaped chains over a document deep
-// enough that all three strategies take genuinely different code paths,
+// enough that every strategy takes a genuinely different code path,
 // sequentially and with 8 morsel workers per execution.
 func TestStrategyDifferentialDeep(t *testing.T) {
 	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 60000, Seed: 10}))
@@ -66,6 +64,8 @@ func TestStrategyDifferentialDeep(t *testing.T) {
 		`count(//a//b/c)`,
 		`count(/root//a//b)`,
 		`count(//a//a)`, // self-chain: strict containment must hold everywhere
+		`count(//a//a/a)`,
+		`count(//b/a//b)`,
 		`string-join(for $n in //a//b//c return local-name($n), "")`,
 		`(//a//b)[17]/local-name(.)`,
 		`count(//a//b[1 idiv 0])`, // error identity through every join path

@@ -87,7 +87,7 @@ func TestXqdEndToEnd(t *testing.T) {
 		Workers:       8,
 		QueueDepth:    256,
 		PlanCacheSize: 32,
-		Options:       xqgo.Options{Strategy: xqgo.ForceBinaryJoin, MemoizeFunctions: true},
+		Options:       xqgo.Options{Strategy: xqgo.ForceTwig, MemoizeFunctions: true},
 	})
 	base := startServer(t, svc)
 

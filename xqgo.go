@@ -65,8 +65,8 @@ const (
 
 // Strategy is the join-strategy policy for join-eligible path chains
 // (//a//b/c …): how the engine evaluates rooted descendant-axis chains over
-// plain name tests. The zero value defers to the deprecated
-// UseStructuralJoins knob and otherwise means StrategyAuto.
+// plain name tests, by navigation or by the holistic twig join. The zero
+// value means StrategyAuto.
 type Strategy = optimizer.Strategy
 
 const (
@@ -77,9 +77,7 @@ const (
 	StrategyAuto = optimizer.StrategyAuto
 	// ForceNavigation pins tree navigation (the index-free baseline).
 	ForceNavigation = optimizer.StrategyNavigation
-	// ForceBinaryJoin pins stack-tree binary structural joins.
-	ForceBinaryJoin = optimizer.StrategyBinaryJoin
-	// ForceTwig pins the holistic twig (PathStack) join.
+	// ForceTwig pins the holistic twig (TwigStack) join.
 	ForceTwig = optimizer.StrategyTwigJoin
 )
 
@@ -99,22 +97,9 @@ type Options struct {
 	// testing and measurement. A per-execution Context.WithPlanHints
 	// overrides it.
 	Strategy Strategy
-	// UseStructuralJoins evaluates descendant-axis path chains (//a//b)
-	// with stack-tree structural joins over a lazily built per-document
-	// name index instead of navigation — the index-based processing mode.
-	//
-	// Deprecated: set Strategy to ForceBinaryJoin instead (this knob maps
-	// to exactly that, and is ignored when Strategy is set). The default
-	// behavior is now StrategyAuto, which uses structural and twig joins
-	// whenever the cost model prices them below navigation.
-	UseStructuralJoins bool
 	// MemoizeFunctions caches calls to pure user functions within one
 	// execution (intra-query memoization).
 	MemoizeFunctions bool
-	// Parallel evaluates independent heavy branches of comma sequences
-	// concurrently (horizontal parallelization). Opt-in: error timing may
-	// change (XQuery's non-determinism permits this).
-	Parallel bool
 	// DisableBatching turns off the vectorized batch pull fast path: every
 	// materializing consumer in the plan moves one item per virtual call.
 	// This is the item-at-a-time baseline used by the batched-vs-item
@@ -182,11 +167,14 @@ func Compile(src string, opts *Options) (*Query, error) {
 		oo.Trace = trace
 		q = optimizer.Optimize(q, oo)
 	}
+	strategy := opts.Strategy
+	if strategy == optimizer.StrategyDefault {
+		strategy = StrategyAuto
+	}
 	ro := runtime.Options{
 		Eager:            opts.Engine == Eager,
-		Strategy:         opts.EffectiveStrategy(),
+		Strategy:         strategy,
 		MemoizeFunctions: opts.MemoizeFunctions,
-		Parallel:         opts.Parallel,
 		NoBatch:          opts.DisableBatching,
 	}
 	if !opts.DisableProjection {
@@ -209,26 +197,6 @@ func MustCompile(src string, opts *Options) *Query {
 	}
 	return q
 }
-
-// EffectiveStrategy resolves the configured strategy policy: an explicit
-// Strategy wins, the deprecated UseStructuralJoins knob maps to
-// ForceBinaryJoin, and everything else defaults to StrategyAuto.
-func (o Options) EffectiveStrategy() Strategy {
-	if o.Strategy != optimizer.StrategyDefault {
-		return o.Strategy
-	}
-	if o.UseStructuralJoins {
-		return ForceBinaryJoin
-	}
-	return StrategyAuto
-}
-
-// Plan renders the optimized expression tree (diagnostics).
-//
-// Deprecated: Plan is the string form only; use PlanInfo for the
-// structured operator tree (stable operator ids, per-branch join strategy,
-// cardinality estimates). Plan returns PlanInfo().Text.
-func (q *Query) Plan() string { return q.PlanInfo().Text }
 
 // Profiling and explain support. A Profile is attached to a Context before
 // execution and read afterwards; the rewrite trace is recorded at Compile
@@ -516,16 +484,18 @@ func (c *Context) WithProfile(p *Profile) *Context {
 type WorkerLimiter = runtime.WorkerLimiter
 
 // WithWorkers sets the morsel-parallelism target for executions under this
-// context: up to n workers — including the pulling goroutine — cooperate on
-// large path-step scans, structural joins, and FLWOR for/where tuple
-// pipelines, with results stitched back in document order. n <= 1 (the
+// context, the engine's one parallelism knob: up to n workers — including
+// the pulling goroutine — cooperate on large path-step scans, structural
+// joins, FLWOR for/where tuple pipelines and the heavy branches of comma
+// sequences, with results stitched back in document order. n <= 1 (the
 // default) keeps execution fully sequential. Workers beyond the first are
 // leased round by round from the limiter (WithWorkerLimiter; a process-wide
 // GOMAXPROCS pool by default) and are best-effort: a query always makes
 // progress on its own goroutine — the guaranteed minimum of one — and
 // simply runs sequentially when no slots are idle. Results and their order
-// are identical to sequential execution; like Options.Parallel, errors may
-// surface from bindings a fully lazy evaluation would have skipped.
+// are identical to sequential execution; errors may surface from bindings
+// a fully lazy evaluation would have skipped (XQuery's non-deterministic
+// error semantics permit this).
 func (c *Context) WithWorkers(n int) *Context {
 	c.dyn.Workers = n
 	return c
