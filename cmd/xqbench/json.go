@@ -14,6 +14,7 @@ import (
 	"xqgo"
 	"xqgo/internal/structjoin"
 	"xqgo/internal/workload"
+	"xqgo/internal/xdm"
 )
 
 // benchRow is one machine-readable benchmark result (ns per full operation).
@@ -115,8 +116,8 @@ type ingestRow struct {
 // are min-of-reps: navigation, twig and Auto through the engine on a warm
 // per-strategy context (the index build is priced by its own rows
 // elsewhere), binary as the raw stack-tree chain (StackTreeDesc plus
-// DistinctDescendants per edge) over the same index lists — the engine has
-// no binary plan. AutoVsBest is the median of per-rep auto/best-engine-plan
+// DistinctDescendants per edge, after the same predicate semi-join the
+// engine runs) over the same index lists — the engine has no binary plan. AutoVsBest is the median of per-rep auto/best-engine-plan
 // ratios, so machine drift cancels out of the gate.
 type twigRow struct {
 	Name       string  `json:"name"`
@@ -686,24 +687,29 @@ func (r *runner) runJSON(path string) error {
 	// literature says holistic and binary plans genuinely diverge: a deep
 	// chain (many nested matches per edge, so the binary plan materializes
 	// large intermediate pair lists), a wide shallow twig (joins are cheap,
-	// navigation and both joins should be close), and a low-selectivity
-	// leaf (the binary plan pays for every (a,b) pair before the rare leaf
-	// cuts the output down; the holistic join never materializes them).
+	// navigation and both joins should be close), a low-selectivity leaf
+	// (the binary plan pays for every (a,b) pair before the rare leaf cuts
+	// the output down; the holistic join never materializes them), and a
+	// branching twig whose predicate navigation tests on every candidate
+	// while the join reduces it by one semi-join.
 	twigShapes := []struct {
 		name  string
 		query string
 		chain string // the query's descendant chain, for the binary column
+		pred  string // a child-edge predicate on the chain's first step, or ""
 		doc   *xqgo.Document
 	}{
-		{"twig/deep-chain", `count(//a//b//c)`, "a//b//c",
+		{"twig/deep-chain", `count(//a//b//c)`, "a//b//c", "",
 			xqgo.FromStore(workload.Deep(workload.DeepConfig{
 				Nodes: 60000, MaxDepth: 40, Fanout: 2, Seed: 3}))},
-		{"twig/wide-shallow", `count(//a//b)`, "a//b",
+		{"twig/wide-shallow", `count(//a//b)`, "a//b", "",
 			xqgo.FromStore(workload.Deep(workload.DeepConfig{
 				Nodes: 60000, MaxDepth: 6, Fanout: 24, Seed: 4}))},
-		{"twig/low-selectivity-leaf", `count(//a//b//z)`, "a//b//z",
+		{"twig/low-selectivity-leaf", `count(//a//b//z)`, "a//b//z", "",
 			xqgo.FromStore(workload.Deep(workload.DeepConfig{
 				Nodes: 60000, Names: []string{"a", "a", "a", "b", "b", "b", "z"}, Seed: 5}))},
+		{"twig/branch-predicate", `count(//a[b]//d)`, "a//d", "b",
+			xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 60000, Seed: 6}))},
 	}
 	twigWinsSomewhere := false
 	for _, sh := range twigShapes {
@@ -734,9 +740,13 @@ func (r *runner) runJSON(path string) error {
 		if err != nil {
 			return err
 		}
-		lists := chain.Streams(structjoin.BuildIndex(sh.doc.Store()))
+		idx := structjoin.BuildIndex(sh.doc.Store())
+		lists := chain.Streams(idx)
 		binary := func() {
 			cur := lists[0]
+			if sh.pred != "" {
+				cur = structjoin.SemiJoin(cur, idx.Elements(xdm.LocalName(sh.pred)), true)
+			}
 			for _, l := range lists[1:] {
 				cur = structjoin.DistinctDescendants(structjoin.StackTreeDesc(cur, l, false))
 			}

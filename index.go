@@ -70,8 +70,11 @@ func (x *Index) join(anc, desc string, parentOnly bool, alg JoinAlgorithm) []Nod
 type TwigStats = structjoin.TwigStats
 
 // CountTwig runs the holistic TwigStack join for a twig pattern in the
-// compact syntax "a[b//c]//d" and returns its statistics. The path-solution
-// count equals the number of root-to-leaf embeddings.
+// compact syntax "a[b//c]//d" and returns its statistics. For a linear
+// pattern the path-solution count equals the number of embeddings; for a
+// branching pattern it is the sum of root-to-leaf path solutions over the
+// pattern's leaves, not an embedding count (CountTwigNavigation counts
+// those).
 func (x *Index) CountTwig(pattern string) (TwigStats, error) {
 	tw, err := structjoin.ParseTwig(pattern)
 	if err != nil {

@@ -19,8 +19,9 @@ func TestIndexedPathEquivalence(t *testing.T) {
 		`/root//a/b//c`,
 		`count(//a//b)`,
 		`for $n in //a//b return local-name($n)`,
-		// Not join-shaped (predicates, wildcards): must silently fall back.
-		`//a[b]//c`,
+		`//a[b]//c`, // predicate reduced by semi-join
+		// Not join-shaped (final-step predicate, wildcard): must silently
+		// fall back.
 		`//*`,
 		`//a//b[1]`,
 	}

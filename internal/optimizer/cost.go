@@ -42,9 +42,14 @@ func (s Strategy) String() string {
 }
 
 // ChainStep is one step of a rooted path chain, as the cost model sees it.
+// A predicate pattern is a tree of steps: each entry of Preds is the first
+// step of one existential predicate, its ChildEdge the edge to this step,
+// and its own Preds hold the predicate's nested predicates and its
+// continuation.
 type ChainStep struct {
 	Postings  int64 // posting-list length of the step's name test
 	ChildEdge bool  // parent/child edge from the previous step
+	Preds     []ChainStep
 }
 
 // ChainStats carries everything the model knows about one chain over one
@@ -77,6 +82,11 @@ const (
 	costTwigPost = 1.25 // holistic join, per posting (stack discipline)
 	costJoinOut  = 1.0  // join feed, per output item (already in doc order)
 	costSetup    = 256  // fixed index-plan overhead: keeps tiny docs on navigation
+	// costNavPred is navigation's work per candidate per predicate step:
+	// one axis scan over about a fanout of nodes through the iterator
+	// machinery. The join pays costTwigPost per posting its semi-joins
+	// read instead.
+	costNavPred = 8.0
 
 	// selFloor keeps the containment expectation from collapsing to zero on
 	// sparse names; selCap bounds it by the tree depth (a descendant has at
@@ -104,19 +114,33 @@ func EstimateChain(cs ChainStats) CostEstimate {
 	// previous step. The expected number of stacked ancestors over a random
 	// node is ~ depth * |A| / N, floored so sparse names keep a pulse and
 	// capped by the depth itself.
+	//
+	// A step with predicates has its candidates filtered: navigation tests
+	// every predicate step on every candidate, the join semi-joins the
+	// step's list with each predicate's reduced list, reading every
+	// predicate posting plus the step's own list once per predicate.
 	out := float64(cs.Steps[0].Postings)
 	sumPostings := out
-	for _, s := range cs.Steps[1:] {
-		l := float64(s.Postings)
-		sumPostings += l
-		f := depth * out / n
-		if f < selFloor {
-			f = selFloor
+	navPred := 0.0
+	for i, s := range cs.Steps {
+		if i > 0 {
+			l := float64(s.Postings)
+			sumPostings += l
+			f := depth * out / n
+			if f < selFloor {
+				f = selFloor
+			}
+			if f > depth {
+				f = depth
+			}
+			out = min(l*f, l)
 		}
-		if f > depth {
-			f = depth
+		for _, p := range s.Preds {
+			postings, steps := predSize(p)
+			sumPostings += postings + float64(s.Postings)
+			navPred += costNavPred * steps * out
+			out *= predSelectivity(p, float64(s.Postings), depth)
 		}
-		out = min(l*f, l)
 	}
 	if cs.Observed >= 0 {
 		// Feedback from a prior run replaces the static output estimate —
@@ -130,7 +154,7 @@ func EstimateChain(cs ChainStats) CostEstimate {
 	}
 	steps := float64(len(cs.Steps))
 	est := CostEstimate{
-		Navigation: costNavNode*n*steps + costNavOut*out,
+		Navigation: costNavNode*n*steps + navPred + costNavOut*out,
 		TwigJoin:   build + costSetup + costTwigPost*sumPostings + costJoinOut*out,
 		Output:     out,
 	}
@@ -139,4 +163,32 @@ func EstimateChain(cs ChainStats) CostEstimate {
 		est.Choice = StrategyTwigJoin
 	}
 	return est
+}
+
+// predSize returns the posting-list lengths and the step count of one
+// predicate pattern, nested predicates included.
+func predSize(p ChainStep) (postings, steps float64) {
+	postings, steps = float64(p.Postings), 1
+	for _, c := range p.Preds {
+		cp, cs := predSize(c)
+		postings += cp
+		steps += cs
+	}
+	return postings, steps
+}
+
+// predSelectivity bounds the share of an anchor list of the given length
+// that a predicate keeps: every match of the predicate's first step has
+// one parent, and at most ~depth ancestors, so a child-edge predicate
+// keeps at most its first step's postings and a descendant-edge one depth
+// times that. Nested predicates and continuations are not priced further.
+func predSelectivity(p ChainStep, anchor, depth float64) float64 {
+	if anchor < 1 {
+		return 1
+	}
+	reach := float64(p.Postings)
+	if !p.ChildEdge {
+		reach *= depth
+	}
+	return min(1, reach/anchor)
 }

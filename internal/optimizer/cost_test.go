@@ -43,6 +43,33 @@ func TestEstimateChainDecisions(t *testing.T) {
 			want: StrategyTwigJoin,
 		},
 		{
+			// //a[b]//d on a deep 60k-node document: the semi-join reads the
+			// a and b lists once, navigation scans every node per step and
+			// tests the predicate on each of the 15000 a's.
+			name: "deep predicate chain picks twig",
+			cs: ChainStats{
+				DocNodes: 60000, AvgDepth: 12, Observed: -1,
+				Steps: []ChainStep{
+					{Postings: 15000, Preds: []ChainStep{{Postings: 15000, ChildEdge: true}}},
+					{Postings: 15000},
+				},
+			},
+			want: StrategyTwigJoin,
+		},
+		{
+			// The same shape on a tiny document: setup and the predicate
+			// postings outweigh a few dozen predicate tests.
+			name: "tiny predicate chain picks navigation",
+			cs: ChainStats{
+				DocNodes: 60, AvgDepth: 4, Observed: -1,
+				Steps: []ChainStep{
+					{Postings: 15, Preds: []ChainStep{{Postings: 15, ChildEdge: true}}},
+					{Postings: 15},
+				},
+			},
+			want: StrategyNavigation,
+		},
+		{
 			name: "empty chain guards to navigation",
 			cs:   ChainStats{DocNodes: 1000, AvgDepth: 4, Observed: -1},
 			want: StrategyNavigation,
@@ -113,5 +140,35 @@ func TestStrategyString(t *testing.T) {
 		if got := s.String(); got != w {
 			t.Errorf("Strategy(%d).String() = %q, want %q", s, got, w)
 		}
+	}
+}
+
+// Predicates add to both plans: the join pays per predicate posting,
+// navigation per candidate tested. A chain without predicates costs what
+// it did before predicates were priced.
+func TestEstimateChainPredicatePricing(t *testing.T) {
+	plain := ChainStats{
+		DocNodes: 20000, AvgDepth: 6, Observed: -1,
+		Steps: []ChainStep{{Postings: 4000}, {Postings: 4000}},
+	}
+	withPred := plain
+	withPred.Steps = []ChainStep{
+		{Postings: 4000, Preds: []ChainStep{{Postings: 3000, ChildEdge: true,
+			Preds: []ChainStep{{Postings: 2000, ChildEdge: true}}}}},
+		{Postings: 4000},
+	}
+	p, q := EstimateChain(plain), EstimateChain(withPred)
+	if q.TwigJoin <= p.TwigJoin || q.Navigation <= p.Navigation {
+		t.Errorf("predicate priced nothing: twig %.0f→%.0f, nav %.0f→%.0f",
+			p.TwigJoin, q.TwigJoin, p.Navigation, q.Navigation)
+	}
+	if q.Output > p.Output {
+		t.Errorf("a predicate raised the output estimate: %.0f > %.0f", q.Output, p.Output)
+	}
+	// The join reads the 3000+2000 predicate postings and the anchor list
+	// once more; the output estimate shrinks, which lowers the feed cost.
+	wantJoinDelta := costTwigPost*(3000+2000+4000) - costJoinOut*(p.Output-q.Output)
+	if d := q.TwigJoin - p.TwigJoin; d != wantJoinDelta {
+		t.Errorf("join predicate delta = %.1f, want %.1f", d, wantJoinDelta)
 	}
 }

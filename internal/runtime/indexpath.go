@@ -11,7 +11,7 @@ import (
 )
 
 // Index-accelerated path evaluation: descendant-axis path chains over
-// plain name tests (//a//b, /doc//a/b …) can be evaluated over a
+// plain name tests (//a//b, /doc//a/b, //a[b/c]//d …) can be evaluated over a
 // per-document name index instead of navigation — the "navigation- vs
 // index-based processing" trade-off the paper surveys — with the holistic
 // TwigStack join (one pass over all posting lists, no intermediates).
@@ -66,56 +66,107 @@ func (c *indexCache) ready(d *store.Document) bool {
 type joinStep struct {
 	name      xdm.QName
 	childOnly bool // parent/child edge rather than ancestor/descendant
+	// preds are the step's existential structural predicates as twig
+	// patterns rooted at the predicate's first step ([b//c] is b//c with a
+	// child edge to this step); each node's Children are all predicates.
+	preds []*structjoin.TwigNode
 }
 
 // extractJoinChain recognizes Path trees of the form
 //
-//	Root [/descendant-or-self::node()/child::N | /child::N]+
+//	Root [/descendant-or-self::node()/child::N | /child::N | /descendant::N]+
 //
-// with simple element name tests and no predicates, returning the chain in
-// outermost-first order. ok is false when the shape doesn't match.
+// with plain element name tests, returning the chain in outermost-first
+// order with "//" as nameless sentinel steps (see normalizeChain). A named
+// step may carry existential structural predicates (see
+// extractPredicate). ok is false when the shape doesn't match.
 func extractJoinChain(e expr.Expr) (steps []joinStep, ok bool) {
 	p, isPath := e.(*expr.Path)
 	if !isPath {
 		return nil, false
 	}
-	// Recurse into the left spine first.
-	switch l := p.L.(type) {
-	case *expr.Root:
-		// chain starts here
-	case *expr.Path:
-		inner, innerOK := extractJoinChain(l)
-		if !innerOK {
-			return nil, false
-		}
-		steps = inner
-	default:
+	parts := flattenPath(p, nil)
+	if _, rooted := parts[0].(*expr.Root); !rooted {
 		return nil, false
 	}
+	return appendSteps(nil, parts[1:])
+}
 
-	// The RHS must be either child::name, or the dos step (in which case
-	// the *next* path level supplies the name; handled by the caller shape:
-	// Root/dos::node() appears as Path{L: Root, R: dosStep}).
-	switch r := p.R.(type) {
-	case *expr.Step:
+// flattenPath lists the operands of a tree of "/" operators, left to right.
+// Over steps, "/" is associative, so the grouping carries no meaning.
+func flattenPath(e expr.Expr, out []expr.Expr) []expr.Expr {
+	if p, ok := e.(*expr.Path); ok {
+		return flattenPath(p.R, flattenPath(p.L, out))
+	}
+	return append(out, e)
+}
+
+// appendSteps converts path operands into raw join steps: child and
+// descendant steps over plain element names, possibly filtered by
+// join-eligible predicates, and the "//" descendant-or-self::node()
+// marker, which becomes a nameless sentinel.
+func appendSteps(steps []joinStep, parts []expr.Expr) ([]joinStep, bool) {
+	for _, part := range parts {
+		var preds []expr.Expr
+		if f, ok := part.(*expr.Filter); ok {
+			part, preds = f.In, f.Preds
+		}
+		r, ok := part.(*expr.Step)
+		if !ok {
+			return nil, false
+		}
+		var s joinStep
 		switch {
 		case r.Axis == expr.AxisChild && isPlainNameTest(r.Test):
-			// A child step: parent/child edge — but only meaningful when a
-			// previous named step exists; a leading /name (from the
-			// document root) is also fine (document node is the parent).
-			steps = append(steps, joinStep{name: r.Test.Name, childOnly: true})
-			return steps, len(steps) > 0
-		case (r.Axis == expr.AxisDescendantOrSelf && r.Test.Kind == xtypes.TestAnyKind):
-			// the "//" marker: mark by appending a sentinel the caller's
-			// next child step will consume.
-			steps = append(steps, joinStep{childOnly: false})
-			return steps, true
+			s = joinStep{name: r.Test.Name, childOnly: true}
 		case r.Axis == expr.AxisDescendant && isPlainNameTest(r.Test):
-			steps = append(steps, joinStep{name: r.Test.Name, childOnly: false})
-			return steps, true
+			s = joinStep{name: r.Test.Name}
+		case r.Axis == expr.AxisDescendantOrSelf && r.Test.Kind == xtypes.TestAnyKind && len(preds) == 0:
+			s = joinStep{} // the "//" marker
+		default:
+			return nil, false
 		}
+		for _, pe := range preds {
+			tw, ok := extractPredicate(pe)
+			if !ok {
+				return nil, false
+			}
+			s.preds = append(s.preds, tw)
+		}
+		steps = append(steps, s)
 	}
-	return nil, false
+	return steps, true
+}
+
+// extractPredicate recognizes an existential structural predicate: a
+// relative path (optionally led by ".") of plain element-name child or
+// descendant steps, each possibly filtered by predicates of the same kind.
+// Such a predicate yields nodes, so it holds exactly when the pattern has a
+// match below the context node. Positional, value-comparison, attribute
+// and function predicates do not match.
+func extractPredicate(e expr.Expr) (*structjoin.TwigNode, bool) {
+	parts := flattenPath(e, nil)
+	if _, ok := parts[0].(*expr.ContextItem); ok {
+		parts = parts[1:]
+	}
+	raw, ok := appendSteps(nil, parts)
+	if !ok {
+		return nil, false
+	}
+	chain, ok := normalizeChain(raw)
+	if !ok {
+		return nil, false
+	}
+	var tw *structjoin.TwigNode
+	for i := len(chain) - 1; i >= 0; i-- {
+		n := &structjoin.TwigNode{Name: chain[i].name, ChildEdge: chain[i].childOnly}
+		n.Children = append(n.Children, chain[i].preds...)
+		if tw != nil {
+			n.Children = append(n.Children, tw)
+		}
+		tw = n
+	}
+	return tw, true
 }
 
 func isPlainNameTest(t xtypes.NodeTest) bool {
@@ -147,23 +198,27 @@ func normalizeChain(raw []joinStep) ([]joinStep, bool) {
 }
 
 // joinPlan is the index-join compilation of one join-eligible path: the
-// extracted chain and the same chain as a linear twig pattern, shared by
-// every execution (TwigStack keeps its state per call). Its pointer
-// identity keys the per-execution strategy-decision cache.
+// extracted chain and its main path as a linear twig pattern, shared by
+// every execution (TwigStack keeps its state per call). Predicates stay on
+// the chain steps: they are reduced to filtered posting lists by
+// semi-joins before the linear join runs, never handed to TwigStack as
+// branches, whose leaf output does not wait for a branch to complete. Its
+// pointer identity keys the per-execution strategy-decision cache.
 type joinPlan struct {
 	chain []joinStep
 	twig  *structjoin.TwigNode
 }
 
 // extractJoinPlan recognizes join-shaped paths. Returns nil when the
-// pattern does not match (non-rooted, predicates, no descendant edge).
+// pattern does not match (non-rooted, ineligible predicates, a predicate on
+// the final step, no descendant edge).
 func extractJoinPlan(n *expr.Path) *joinPlan {
 	raw, ok := extractJoinChain(n)
 	if !ok {
 		return nil
 	}
 	chain, ok := normalizeChain(raw)
-	if !ok || len(chain) < 1 {
+	if !ok || len(chain) < 2 || len(chain[len(chain)-1].preds) > 0 {
 		return nil
 	}
 	// Only worthwhile when at least one edge is a descendant join.
@@ -173,7 +228,7 @@ func extractJoinPlan(n *expr.Path) *joinPlan {
 			hasDesc = true
 		}
 	}
-	if len(chain) == 1 || !hasDesc {
+	if !hasDesc {
 		return nil
 	}
 	var twig *structjoin.TwigNode
@@ -210,7 +265,10 @@ func (jp *joinPlan) run(fr *Frame, sn *store.Node, opID int, fb *feedback) Iter 
 // intermediate pair lists, morsel-parallel over the leaf posting list with
 // UpperBoundStart-pruned upper lists per chunk. The first list is the
 // chain's seed: its edge from the root is checked only when childOnly
-// (level 1 under the document node).
+// (level 1 under the document node). A step's predicates first reduce its
+// list to the postings that satisfy them (structjoin.Satisfying), whole:
+// only the main-path lists are chunked, and pruning a predicate list at a
+// chunk's last leaf would drop a b that follows the d in //a[b]//d.
 func (jp *joinPlan) runTwig(dyn *Dynamic, idx *structjoin.Index) (structjoin.List, error) {
 	lists := jp.twig.Streams(idx)
 	if jp.chain[0].childOnly {
@@ -222,8 +280,9 @@ func (jp *joinPlan) runTwig(dyn *Dynamic, idx *structjoin.Index) (structjoin.Lis
 		}
 		lists[0] = top
 	}
-	for _, l := range lists {
-		if len(l) == 0 {
+	for i, s := range jp.chain {
+		lists[i] = structjoin.Satisfying(lists[i], s.preds, idx)
+		if len(lists[i]) == 0 {
 			return nil, nil
 		}
 	}

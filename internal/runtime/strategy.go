@@ -5,6 +5,7 @@ import (
 
 	"xqgo/internal/optimizer"
 	"xqgo/internal/store"
+	"xqgo/internal/structjoin"
 )
 
 // Cost-based join-strategy selection. A join-eligible path operator keeps
@@ -123,7 +124,24 @@ func chooseChainStrategy(jp *joinPlan, doc *store.Document, indexReady bool, obs
 		cs.Steps[i] = optimizer.ChainStep{
 			Postings:  st.ElementCount(s.name),
 			ChildEdge: s.childOnly,
+			Preds:     predStats(s.preds, st),
 		}
 	}
 	return optimizer.EstimateChain(cs).Choice
+}
+
+// predStats prices predicate patterns from the document's per-name counts.
+func predStats(preds []*structjoin.TwigNode, st *store.DocStats) []optimizer.ChainStep {
+	if len(preds) == 0 {
+		return nil
+	}
+	out := make([]optimizer.ChainStep, len(preds))
+	for i, p := range preds {
+		out[i] = optimizer.ChainStep{
+			Postings:  st.ElementCount(p.Name),
+			ChildEdge: p.ChildEdge,
+			Preds:     predStats(p.Children, st),
+		}
+	}
+	return out
 }

@@ -59,6 +59,63 @@ func StackTreeDesc(ancestors, descendants List, parentOnly bool) []Pair {
 	return out
 }
 
+// SemiJoin returns the postings of ancestors that have a descendant (a
+// child, when childEdge) in descendants, in document order. It is
+// StackTreeDesc's pass without the pair output: the stack is cleaned from
+// the top before every push and every descendant, so it is a chain of
+// nested regions and, once cleaned to a descendant, holds only its
+// ancestors. A descendant marks the top entry only; a descendant edge
+// hands the mark down when the entry is popped (the entry beneath contains
+// it), and a child edge needs no hand-down, because only the top can sit a
+// level above. So the pass is O(|ancestors| + |descendants|) whatever the
+// nesting. Containment is strict: a posting in both lists is never its own
+// ancestor. Neither list is modified.
+func SemiJoin(ancestors, descendants List, childEdge bool) List {
+	keep := make([]bool, len(ancestors))
+	var stack []int // indexes into ancestors
+	pop := func() {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if keep[top] && !childEdge && len(stack) > 0 {
+			keep[stack[len(stack)-1]] = true
+		}
+	}
+	clean := func(start int64) {
+		for len(stack) > 0 && ancestors[stack[len(stack)-1]].Region.End < start {
+			pop()
+		}
+	}
+	a := 0
+	for _, d := range descendants {
+		for a < len(ancestors) && ancestors[a].Region.Start < d.Region.Start {
+			clean(ancestors[a].Region.Start)
+			stack = append(stack, a)
+			a++
+		}
+		clean(d.Region.Start)
+		if len(stack) == 0 {
+			if a == len(ancestors) {
+				break
+			}
+			continue
+		}
+		top := stack[len(stack)-1]
+		if !childEdge || ancestors[top].Region.Level+1 == d.Region.Level {
+			keep[top] = true
+		}
+	}
+	for len(stack) > 0 {
+		pop()
+	}
+	var out List
+	for i, k := range keep {
+		if k {
+			out = append(out, ancestors[i])
+		}
+	}
+	return out
+}
+
 // TreeMergeDesc is the merge baseline (tree-merge join): for each
 // descendant, scan backwards-compatible ancestor candidates without a
 // stack. Worst case O(|A| * |D|); the structural-join papers' strawman.

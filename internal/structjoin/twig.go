@@ -153,11 +153,28 @@ func (n *TwigNode) Streams(idx *Index) []List {
 	return out
 }
 
+// Satisfying returns the postings of l that satisfy every existential
+// predicate pattern in preds: for each pattern, a child (ChildEdge) or
+// descendant matching its root that itself satisfies the root's Children
+// as predicates. Patterns reduce bottom-up, one SemiJoin per pattern edge,
+// so the cost is linear in the posting lists read. With no patterns it
+// returns l itself; it never modifies l or the index lists.
+func Satisfying(l List, preds []*TwigNode, idx *Index) List {
+	for _, p := range preds {
+		if len(l) == 0 {
+			return nil
+		}
+		l = SemiJoin(l, Satisfying(idx.Elements(p.Name), p.Children, idx), p.ChildEdge)
+	}
+	return l
+}
+
 // TwigStats reports the work and intermediate-result volume of a twig join.
 type TwigStats struct {
-	// PathSolutions is the number of root-to-leaf solutions produced (the
-	// holistic algorithms' total intermediate size), saturating at
-	// math.MaxInt64.
+	// PathSolutions is the number of root-to-leaf path solutions produced
+	// (the holistic algorithms' total intermediate size), summed over the
+	// leaves of a branching pattern and saturating at math.MaxInt64. It
+	// equals the embedding count of linear patterns only.
 	PathSolutions int64
 	// Pushes and Advances count stack pushes and stream advances.
 	Pushes   int64
@@ -202,11 +219,20 @@ var eofRegion = labeling.Region{Start: infStart, End: infStart}
 // concurrent calls may share the pattern and the lists. The root's
 // ChildEdge is ignored: callers that anchor the root pre-filter its list.
 //
-// It returns the work statistics — PathSolutions counts every root-to-leaf
-// path solution — and the distinct postings of the output leaf (the last
-// leaf in pre-order, the tail of the pattern's main path) that complete at
-// least one root-to-leaf path solution, in document order. For a linear
-// chain those are exactly the nodes the path expression selects.
+// It returns the work statistics and the distinct postings of the output
+// leaf (the last leaf in pre-order, the tail of the pattern's main path)
+// that complete at least one root-to-leaf path solution, in document
+// order. The leaf output is exact for linear patterns only: for a linear
+// chain it is exactly the node set the path expression selects. On a
+// branching pattern getNext checks containment, not that every branch
+// completes, and a leaf posting is output as soon as its own root-to-leaf
+// path matches, without waiting for the other branches — so on
+// <r><a><x><b/></x><d/></a></r> the pattern a//d with a child-edge branch
+// to b (XPath //a[b]//d) outputs the d although the a has no child b.
+// Exact branching answers reduce the branches first (Satisfying) and run
+// the linear main path over the reduced lists.
+// Likewise PathSolutions of a branching pattern sums the root-to-leaf path
+// solutions over its leaves; it is not a count of embeddings.
 func TwigStack(root *TwigNode, streams []List) (TwigStats, List) {
 	if root == nil {
 		return TwigStats{}, nil

@@ -1,10 +1,10 @@
 package xqgo_test
 
 // Differential test for the join strategies: every query of the paper
-// suite plus join-shaped chains over a 60k-node deep document is evaluated
-// under both forced strategies (navigation, holistic twig join) and under
-// cost-based Auto, asserting identical results and identical error
-// identity. The deep-doc queries also run with 8 morsel workers; CI runs
+// suite plus join-shaped chains and branching twigs over a 60k-node deep
+// document is evaluated under both forced strategies (navigation, holistic
+// twig join) and under cost-based Auto, asserting identical results and
+// identical error identity. The deep-doc queries also run with 8 morsel workers; CI runs
 // this under -race at GOMAXPROCS=8, so the per-chunk twig runs and the
 // shared plan-choice cache get real scheduler pressure.
 
@@ -69,6 +69,21 @@ func TestStrategyDifferentialDeep(t *testing.T) {
 		`string-join(for $n in //a//b//c return local-name($n), "")`,
 		`(//a//b)[17]/local-name(.)`,
 		`count(//a//b[1 idiv 0])`, // error identity through every join path
+		// Branching twigs: predicates on non-final steps reduce by
+		// semi-join, then the linear main path joins.
+		`count(//a[b]//d)`,
+		`count(//a[.//b]//d)`,
+		`count(//a[b/c]//d)`,
+		`count(//a[b[c]]//d)`,
+		`count(//a[b][c]//d)`,
+		`count(/root/a[b]//d)`,
+		`count(//a[b]//c/d)`,
+		`(//a[b]//d)[5]/local-name(.)`,
+		// Look-alikes that keep navigating and must still agree.
+		`count(//a[1]//d)`,
+		`count(//a[b = "1"]//d)`,
+		`count(//a//d[b])`,
+		`count(//a[b]//d[1 idiv 0])`,
 	}
 	for _, q := range queries {
 		var wantOut string
@@ -96,6 +111,32 @@ func TestStrategyDifferentialDeep(t *testing.T) {
 				if evalErr == nil && out != wantOut {
 					t.Errorf("%q (%s, workers=%d): result mismatch:\n  reference: %.120q\n  got:       %.120q",
 						q, os.name, workers, wantOut, out)
+				}
+			}
+		}
+	}
+}
+
+// TestBranchChildEdgeTrap pins the documents on which a branching TwigStack's
+// leaf output is wrong: the d is output as soon as its own a//d path
+// matches, although the a has no child b (a descendant b in the first, a
+// child b only under a nested a in the second). Every strategy must answer
+// 0.
+func TestBranchChildEdgeTrap(t *testing.T) {
+	for _, src := range []string{
+		`<r><a><x><b/></x><d/></a></r>`,
+		`<r><a><d/><a><b/></a></a></r>`,
+	} {
+		doc := xqgo.MustParseString(src, "trap.xml")
+		for _, os := range strategyOptSets {
+			q := xqgo.MustCompile(`count(//a[b]//d)`, &os.opts)
+			for _, workers := range []int{0, 8} {
+				got, err := q.EvalString(xqgo.NewContext().WithContextNode(doc).WithWorkers(workers))
+				if err != nil {
+					t.Fatalf("%s (workers=%d) on %s: %v", os.name, workers, src, err)
+				}
+				if got != "0" {
+					t.Errorf("%s (workers=%d) on %s: count(//a[b]//d) = %s, want 0", os.name, workers, src, got)
 				}
 			}
 		}
